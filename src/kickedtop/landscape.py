@@ -251,11 +251,12 @@ def find_critical_points(par: KickedTopParams, j: float) -> CriticalSet:
         warnings.warn("parameters outside the regular regime; critical-point census may fail", stacklevel=2)
     seeds = _seed_grid()
     refined, ok = _kernels.newton_refine(seeds, par.kappa, par.p, 1e-12, 100)
-    refined = refined[ok == 1]
+    rest = refined[ok == 1]
     uniq: list[np.ndarray] = []
-    for r in refined:
-        if all(np.linalg.norm(r - q) > 1e-6 for q in uniq):
-            uniq.append(r)
+    while len(rest):
+        # keep the first remaining point and drop every duplicate of it
+        uniq.append(rest[0])
+        rest = rest[np.linalg.norm(rest - rest[0], axis=1) > 1e-6]
     points = []
     for r in uniq:
         grad2, hess2, _ = _riemannian_grad_hess(r, par)

@@ -13,11 +13,11 @@ from typing import Iterator
 
 import numpy as np
 
+from . import _kernels
 from .effective import build_effective_hamiltonian
 from .floquet import FloquetSpectrum, KickedTopParams, build_floquet, diagonalize_floquet
 from .landscape import (
     _riemannian_grad_hess,
-    classical_time_average,
     find_critical_points,
     qel_value,
 )
@@ -66,8 +66,8 @@ class ProtocolResult:
 def mode_magnetization(spec: FloquetSpectrum, ops: OperatorSet, h_eff: np.ndarray) -> ModeMagnetization:
     """<Phi|H_E|Phi> and <Phi|J_x/j|Phi> for every Floquet mode."""
     modes = spec.modes
-    energies = np.einsum("ia,ij,ja->a", modes.conj(), h_eff, modes).real
-    mags = np.einsum("ia,ij,ja->a", modes.conj(), ops.jx / ops.j, modes).real
+    energies = np.einsum("ia,ij,ja->a", modes.conj(), h_eff, modes, optimize=True).real
+    mags = np.einsum("ia,ij,ja->a", modes.conj(), ops.jx / ops.j, modes, optimize=True).real
     order = np.argsort(energies)
     return ModeMagnetization(energies=energies[order], magnetizations=mags[order])
 
@@ -146,6 +146,8 @@ def run_protocol(par: KickedTopParams, j: float, branch: str, n_points: int, ste
         raise ValueError("protocol needs kappa > p (saddle must exist)")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if steps < 10 * j:
         warnings.warn(
             f"steps = {steps} is below the recurrence-time heuristic 10*j = {10 * j:.0f}; "
@@ -177,14 +179,14 @@ def run_protocol(par: KickedTopParams, j: float, branch: str, n_points: int, ste
 
     targets = np.linspace(es[0], es[-1], n_points)
     idx = np.abs(es[None, :] - targets[:, None]).argmin(axis=1)
+    xcs = _kernels.orbit_mean_x(pts[idx], par.kappa, par.p, steps)
     results = []
-    for i in idx:
+    for i, xc in zip(idx, xcs):
         bloch = BlochVector.from_array(pts[i])
         gamma = gamma_from_bloch(bloch)
         psi = coherent_state(sys, gamma)
         e_mean = time_averaged_observable(psi, f, h_eff, steps)
         xq = time_averaged_observable(psi, f, jx_scaled, steps)
-        xc = classical_time_average(bloch, par, steps)
         pr = participation_ratio(psi, spec.modes)
         results.append(
             ProtocolResult(
@@ -193,7 +195,7 @@ def run_protocol(par: KickedTopParams, j: float, branch: str, n_points: int, ste
                 bloch0=bloch,
                 mean_quasienergy=e_mean,
                 xbar_quantum=xq,
-                xbar_classical=xc,
+                xbar_classical=float(xc),
                 participation_ratio=pr,
             )
         )

@@ -73,6 +73,8 @@ def test_run_protocol_validation(par40):
         kt.run_protocol(kt.KickedTopParams(p=0.1, kappa=0.05), 10.0, "S->m", 5, 200)
     with pytest.raises(ValueError):
         kt.run_protocol(par40, 10.0, "S->m", 1, 200)
+    with pytest.raises(ValueError):
+        kt.run_protocol(par40, 10.0, "S->m", 5, -1)
     with pytest.warns(UserWarning):
         kt.run_protocol(par40, 5.0, "S->m", 2, 10)
 
