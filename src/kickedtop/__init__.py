@@ -57,7 +57,6 @@ from .protocol import (
     mode_magnetization,
     participation_ratio,
     run_protocol,
-    stroboscopic_evolve,
     time_averaged_observable,
 )
 from .spin import (
@@ -126,7 +125,6 @@ __all__ = [
     "ModeMagnetization",
     "ProtocolResult",
     "mode_magnetization",
-    "stroboscopic_evolve",
     "time_averaged_observable",
     "participation_ratio",
     "run_protocol",

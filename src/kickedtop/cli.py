@@ -253,76 +253,59 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Options left off the command line are absent from the namespace, so
+    the RunConfig fields are the only defaults."""
     parser = argparse.ArgumentParser(
         prog="kickedtop",
         description="Kicked-top Floquet spectra, quasienergy landscape, DOQS and measurement protocol",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--j", type=float, default=40.0, help="total angular momentum (half-integer)")
-        sp.add_argument("--p", type=float, default=0.1, help="kick rotation strength")
-        sp.add_argument("--kappa", type=float, default=0.2, help="twist strength")
-        sp.add_argument("--T", type=float, default=1.0, help="driving period")
-        sp.add_argument("--out", type=str, default="", help="output CSV path")
+    def add(name, help_text):
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--j", type=float, help="total angular momentum (half-integer)")
+        sp.add_argument("--p", type=float, help="kick rotation strength")
+        sp.add_argument("--kappa", type=float, help="twist strength")
+        sp.add_argument("--T", type=float, help="driving period")
+        sp.add_argument("--out", type=str, help="output CSV path (default: <command>.csv)")
+        return sp
 
-    for name, help_text in (
-        ("spectrum", "exact and effective quasienergy spectra (optionally over a kappa sweep)"),
-        ("sweep", "quasienergy spectra over a kappa grid"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        common(sp)
-        sp.add_argument(
-            "--kappa-sweep",
-            type=str,
-            default="",
-            help="kappa grid start:stop:step, endpoints inclusive within half a step",
-        )
+    add("spectrum", "exact and effective quasienergy spectra at one parameter point")
 
-    sp = sub.add_parser("doqs", help="histogram and analytic DOQS on one quasienergy grid")
-    common(sp)
-    sp.add_argument("--bins", type=int, default=161, help="histogram bin count")
-    sp.add_argument("--n-max", type=int, default=0, help="add trace-series columns, summing n <= n_max")
-    sp.add_argument("--sigma", type=float, default=0.02, help="trace-series smoothing width")
+    sp = add("sweep", "quasienergy spectra over a kappa grid")
+    sp.add_argument(
+        "--kappa-sweep",
+        type=str,
+        help="kappa grid start:stop:step, endpoints inclusive within half a step",
+    )
 
-    sp = sub.add_parser("critical", help="critical points of the quasienergy landscape")
-    common(sp)
+    sp = add("doqs", "histogram and analytic DOQS on one quasienergy grid")
+    sp.add_argument("--bins", type=int, help="histogram bin count")
+    sp.add_argument("--n-max", type=int, help="add trace-series columns, summing n <= n_max")
+    sp.add_argument("--sigma", type=float, help="trace-series smoothing width")
 
-    sp = sub.add_parser("protocol", help="time-averaged magnetization protocol along landscape paths")
-    common(sp)
-    sp.add_argument("--K", type=int, default=700, help="number of kicks averaged over")
-    sp.add_argument("--points", type=int, default=40, help="initial states per branch")
-    sp.add_argument("--branch", type=str, default="both", choices=["S->m", "S->M", "both"])
+    add("critical", "critical points of the quasienergy landscape")
+
+    sp = add("protocol", "time-averaged magnetization protocol along landscape paths")
+    sp.add_argument("--K", type=int, help="number of kicks averaged over")
+    sp.add_argument("--points", dest="n_points", metavar="POINTS", type=int, help="initial states per branch")
+    sp.add_argument("--branch", type=str, choices=["S->m", "S->M", "both"])
     return parser
 
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    sweep: tuple = ()
-    raw_sweep = getattr(ns, "kappa_sweep", "")
+    fields = vars(ns)
+    raw_sweep = fields.pop("kappa_sweep", "")
     if raw_sweep:
         parts = raw_sweep.split(":")
         if len(parts) != 3:
             raise ConfigError("kappa-sweep", f"expected start:stop:step, got {raw_sweep!r}")
         try:
-            sweep = tuple(float(x) for x in parts)
+            fields["kappa_sweep"] = tuple(float(x) for x in parts)
         except ValueError:
             raise ConfigError("kappa-sweep", f"non-numeric sweep bound in {raw_sweep!r}") from None
-    cfg = RunConfig(
-        command=ns.command,
-        j=ns.j,
-        kappa=ns.kappa,
-        p=ns.p,
-        T=ns.T,
-        bins=getattr(ns, "bins", 161),
-        n_max=getattr(ns, "n_max", 0),
-        sigma=getattr(ns, "sigma", 0.02),
-        K=getattr(ns, "K", 700),
-        n_points=getattr(ns, "points", 40),
-        branch=getattr(ns, "branch", "both"),
-        kappa_sweep=sweep,
-        out=ns.out or f"{ns.command}.csv",
-    )
-    return cfg.validate()
+    fields["out"] = fields.get("out") or f"{ns.command}.csv"
+    return RunConfig(**fields).validate()
 
 
 def run(argv=None) -> int:

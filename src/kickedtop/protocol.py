@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "ModeMagnetization",
     "ProtocolResult",
     "mode_magnetization",
-    "stroboscopic_evolve",
     "time_averaged_observable",
     "participation_ratio",
     "run_protocol",
@@ -72,34 +70,42 @@ def mode_magnetization(spec: FloquetSpectrum, ops: OperatorSet, h_eff: np.ndarra
     return ModeMagnetization(energies=energies[order], magnetizations=mags[order])
 
 
-def _check_normalized(state: np.ndarray):
-    nrm = np.linalg.norm(state)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"state must be normalized, |psi| = {nrm}")
+def _check_normalized(states: np.ndarray):
+    nrm = np.linalg.norm(states, axis=0)
+    if np.any(np.abs(nrm - 1.0) > 1e-9):
+        raise ValueError(f"states must be normalized, |psi| = {nrm}")
 
 
-def stroboscopic_evolve(state0: np.ndarray, f: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """Yield |Psi(l)> = F^l |Psi(0)> for l = 0..steps."""
-    _check_normalized(state0)
-    psi = state0
-    yield psi
-    for _ in range(steps):
-        psi = f @ psi
-        yield psi
+def time_averaged_observable(states: np.ndarray, spec: FloquetSpectrum, a: np.ndarray, steps: int):
+    """(steps+1)^-1 sum_l <Psi(l)|A|Psi(l)> with |Psi(l)> = F^l |Psi(0)>.
+
+    states is one state (dim,) or a batch of columns (dim, n); the result is
+    a float or an (n,) array.  With c = modes^dag Psi the average is
+    sum_ab c_a* c_b A_ab D(eps_a - eps_b), where the Dirichlet kernel
+    D(x) = (steps+1)^-1 sum_l e^{i l x T} is summed in closed form.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    _check_normalized(states)
+    modes = spec.modes
+    c = modes.conj().T @ states
+    theta = np.subtract.outer(spec.quasienergies, spec.quasienergies) * spec.T
+    # D depends on theta mod 2 pi only; folding into [-pi, pi] keeps the
+    # sine arguments small for a pair straddling the zone edge
+    theta -= 2.0 * np.pi * np.round(theta / (2.0 * np.pi))
+    num = np.exp(0.5j * steps * theta) * np.sin(0.5 * (steps + 1) * theta)
+    den = (steps + 1) * np.sin(0.5 * theta)
+    # D = 1 at theta = 0; below the smallest normal float the half-angle sine
+    # underflows, and D = 1 holds there to within steps * 1e-308
+    kernel = np.divide(num, den, out=np.ones_like(num), where=np.abs(theta) >= np.finfo(float).tiny)
+    weighted = (modes.conj().T @ a @ modes) * kernel
+    return np.sum(c.conj() * (weighted @ c), axis=0).real
 
 
-def time_averaged_observable(state0: np.ndarray, f: np.ndarray, a: np.ndarray, steps: int) -> float:
-    """(steps+1)^-1 sum_l <Psi(l)|A|Psi(l)>, accumulated state by state."""
-    acc = 0.0
-    for psi in stroboscopic_evolve(state0, f, steps):
-        acc += (psi.conj() @ (a @ psi)).real
-    return float(acc / (steps + 1))
-
-
-def participation_ratio(state0: np.ndarray, modes: np.ndarray) -> float:
-    """1 / sum_alpha |<Phi_alpha|Psi(0)>|^4."""
-    amp2 = np.abs(modes.conj().T @ state0) ** 2
-    return float(1.0 / np.sum(amp2**2))
+def participation_ratio(states: np.ndarray, modes: np.ndarray):
+    """1 / sum_alpha |<Phi_alpha|Psi(0)>|^4 for one state or each column of a batch."""
+    amp2 = np.abs(modes.conj().T @ states) ** 2
+    return 1.0 / np.sum(amp2**2, axis=0)
 
 
 def _flow_path(start: np.ndarray, par: KickedTopParams, direction: int, stop_e: float):
@@ -156,10 +162,8 @@ def run_protocol(par: KickedTopParams, j: float, branch: str, n_points: int, ste
         )
     sys = SpinSystem(j)
     ops = build_operators(sys)
-    f = build_floquet(ops, par)
-    spec = diagonalize_floquet(f, par.T)
+    spec = diagonalize_floquet(build_floquet(ops, par), par.T)
     h_eff = build_effective_hamiltonian(ops, par)
-    jx_scaled = (ops.jx / j).copy()
 
     cps = find_critical_points(par, j)
     saddle = cps.saddle.bloch.as_array()
@@ -180,23 +184,21 @@ def run_protocol(par: KickedTopParams, j: float, branch: str, n_points: int, ste
     targets = np.linspace(es[0], es[-1], n_points)
     idx = np.abs(es[None, :] - targets[:, None]).argmin(axis=1)
     xcs = _kernels.orbit_mean_x(pts[idx], par.kappa, par.p, steps)
-    results = []
-    for i, xc in zip(idx, xcs):
-        bloch = BlochVector.from_array(pts[i])
-        gamma = gamma_from_bloch(bloch)
-        psi = coherent_state(sys, gamma)
-        e_mean = time_averaged_observable(psi, f, h_eff, steps)
-        xq = time_averaged_observable(psi, f, jx_scaled, steps)
-        pr = participation_ratio(psi, spec.modes)
-        results.append(
-            ProtocolResult(
-                branch=branch,
-                gamma0=gamma,
-                bloch0=bloch,
-                mean_quasienergy=e_mean,
-                xbar_quantum=xq,
-                xbar_classical=float(xc),
-                participation_ratio=pr,
-            )
+    blochs = [BlochVector.from_array(pts[i]) for i in idx]
+    gammas = [gamma_from_bloch(b) for b in blochs]
+    psi = np.stack([coherent_state(sys, g) for g in gammas], axis=1)
+    e_means = time_averaged_observable(psi, spec, h_eff, steps)
+    xqs = time_averaged_observable(psi, spec, ops.jx / j, steps)
+    prs = participation_ratio(psi, spec.modes)
+    return [
+        ProtocolResult(
+            branch=branch,
+            gamma0=gamma,
+            bloch0=bloch,
+            mean_quasienergy=float(e_mean),
+            xbar_quantum=float(xq),
+            xbar_classical=float(xc),
+            participation_ratio=float(pr),
         )
-    return results
+        for gamma, bloch, e_mean, xq, xc, pr in zip(gammas, blochs, e_means, xqs, xcs, prs)
+    ]

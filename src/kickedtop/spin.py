@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 __all__ = [
     "SpinSystem",
@@ -137,28 +136,24 @@ def gamma_from_bloch(r: BlochVector) -> StereoCoord:
 
 
 def coherent_state(sys: SpinSystem, g) -> np.ndarray:
-    """Spin coherent state at chart point g.
+    """Spin coherent state at chart point g, in closed form.
 
-    Built by rotating the highest-weight J_z eigenstate |j, j> onto the Bloch
-    direction of g along the geodesic from the +z pole.  Unit norm by
-    construction; <J>/j equals bloch_from_gamma(g) up to rounding.
+    With (theta, phi) the polar angles of bloch_from_gamma(g) about +z, the
+    amplitude of m = j - k is sqrt(C(2j, k)) cos(theta/2)^(2j-k)
+    sin(theta/2)^k e^{i k phi} (Arecchi, Courtens, Gilmore and Thomas,
+    Phys. Rev. A 6, 2211 (1972)), evaluated as exp of its logarithm so that
+    it stays finite at large j.  Unit norm; <J>/j equals bloch_from_gamma(g)
+    up to rounding.
     """
-    ops = build_operators(sys)
     n = bloch_from_gamma(g).as_array()
-    top = np.zeros(sys.dim, dtype=complex)
-    top[0] = 1.0  # |j, j>, Bloch direction +z
-    axis = np.cross([0.0, 0.0, 1.0], n)
-    sin_th = np.linalg.norm(axis)
-    cos_th = n[2]
-    if sin_th < 1e-15:
-        if cos_th > 0:
-            return top
-        axis = np.array([1.0, 0.0, 0.0])  # n = -z: rotate by pi about x
-        theta = np.pi
-    else:
-        axis = axis / sin_th
-        theta = np.arctan2(sin_th, cos_th)
-    gen = axis[0] * ops.jx + axis[1] * ops.jy + axis[2] * ops.jz
-    w, v = eigh(gen)
-    u = (v * np.exp(-1j * theta * w)) @ v.conj().T
-    return u @ top
+    half = 0.5 * np.arctan2(np.hypot(n[0], n[1]), n[2])
+    k = np.arange(sys.dim)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, sys.dim)))))  # log k!, k = 0..2j
+    log_amp = 0.5 * (log_fact[-1] - log_fact - log_fact[::-1])  # log sqrt(C(2j, k))
+    for power, base in ((k[::-1], np.cos(half)), (k, np.sin(half))):
+        if base > 0.0:
+            log_amp += power * np.log(base)
+        else:  # a pole of the z axis: only the power-0 amplitude survives
+            log_amp[power > 0] = -np.inf
+    state = np.exp(log_amp) * np.exp(1j * np.arctan2(n[1], n[0]) * k)
+    return state / np.linalg.norm(state)

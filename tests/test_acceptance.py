@@ -273,7 +273,7 @@ def test_criterion_10_property_suites(par40, ops40, spec40, heff40, cps40, parit
     # diagonal-ensemble equivalence at K = 700
     psi0 = kt.coherent_state(kt.SpinSystem(40.0), kt.StereoCoord(0.4 + 0.1j))
     a = ops40.jx / ops40.j
-    got = kt.time_averaged_observable(psi0, f, a, 700)
+    got = kt.time_averaged_observable(psi0, spec40, a, 700)
     amp2 = np.abs(spec40.modes.conj().T @ psi0) ** 2
     diag = np.einsum("ia,ij,ja->a", spec40.modes.conj(), a, spec40.modes).real
     checks.append(("diagonal ensemble", abs(got - amp2 @ diag) < 1e-2))

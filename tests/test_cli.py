@@ -44,7 +44,7 @@ def test_config_error_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert cli.run(["spectrum", "--j", "-3", "--out", out]) == 2
     assert cli.run(["sweep", "--out", out]) == 2  # sweep needs a kappa grid
-    assert cli.run(["spectrum", "--kappa-sweep", "1:0:0.1", "--out", out]) == 2
+    assert cli.run(["sweep", "--kappa-sweep", "1:0:0.1", "--out", out]) == 2
 
 
 def test_numerical_error_exits_three(tmp_path, capsys):
@@ -54,12 +54,21 @@ def test_numerical_error_exits_three(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_spectrum_deterministic(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--j", "10"],
+    ["sweep", "--j", "5", "--kappa-sweep", "0:0.3:0.1"],
+    ["doqs", "--j", "10", "--bins", "21", "--n-max", "30"],
+    ["critical", "--j", "10"],
+    ["protocol", "--j", "5", "--K", "60", "--points", "3"],
+], ids=lambda argv: argv[0])
+def test_spectrum_deterministic(tmp_path, capsys, argv):
     out = tmp_path / "spec.csv"
-    assert cli.run(["spectrum", "--j", "10", "--out", str(out)]) == 0
+    assert cli.run([*argv, "--out", str(out)]) == 0
     first = out.read_bytes()
-    assert cli.run(["spectrum", "--j", "10", "--out", str(out)]) == 0
+    assert cli.run([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == first  # byte-identical rerun
+    if argv[0] != "spectrum":
+        return
     lines = _read(out)
     assert _columns(lines) == ["kappa", "branch", "index", "quasienergy"]
     rows = _data_rows(lines)

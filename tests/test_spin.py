@@ -1,8 +1,11 @@
 """Operator algebra, chart round trips, coherent-state geometry."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kickedtop as kt
+import state_oracles
 from conftest import rng
 
 
@@ -94,7 +97,7 @@ def test_coherent_state_poles():
     # chart infinity: Bloch (-1, 0, 0)
     psi = kt.coherent_state(sys, kt.StereoCoord.infinity())
     assert abs((psi.conj() @ ops.jx @ psi).real + 3.0) < 1e-12
-    # Bloch -z needs the fallback rotation axis; reach it via gamma = 1 (Z = -1)
+    # Bloch -z, where cos(theta/2) vanishes; reach it via gamma = 1 (Z = -1)
     psi = kt.coherent_state(sys, 1.0 + 0j)
     assert abs((psi.conj() @ ops.jz @ psi).real + 3.0) < 1e-12
 
@@ -111,3 +114,37 @@ def test_coherent_overlap_law():
         lhs = abs(p1.conj() @ p2) ** 2
         rhs = (abs(1 + g1.conjugate() * g2) ** 2 / ((1 + abs(g1) ** 2) * (1 + abs(g2) ** 2))) ** (2 * sys.j)
         assert abs(lhs - rhs) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    j=st.integers(1, 80).map(lambda n: n / 2),
+    g=st.one_of(
+        st.just(kt.StereoCoord.infinity()),  # Bloch -x
+        st.just(1.0 + 0j),  # Bloch -z
+        st.just(-1.0 + 0j),  # Bloch +z
+        st.complex_numbers(max_magnitude=1e3),
+    ),
+)
+@example(j=40.0, g=kt.StereoCoord.infinity())
+@example(j=40.0, g=1.0 + 0j)
+@example(j=0.5, g=-1.0 + 0j)
+def test_coherent_state_matches_rotation(j, g):
+    # the closed-form amplitudes equal the rotated |j, j> up to a global phase
+    sys = kt.SpinSystem(j)
+    got = kt.coherent_state(sys, g)
+    ref = state_oracles.coherent_state(sys, g)
+    overlap = np.vdot(got, ref)
+    assert abs(abs(overlap) - 1.0) < 1e-12
+    assert np.max(np.abs(got * (overlap / abs(overlap)) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("g", [0.3 - 0.7j, 2.0 + 0j, kt.StereoCoord.infinity(), 1.0 + 0j, -1.0 + 0j])
+def test_coherent_state_very_large_j(g):
+    # log-form amplitudes stay finite where cos^(2j) and C(2j, k) overflow or underflow
+    sys = kt.SpinSystem(5000.0)
+    psi = kt.coherent_state(sys, g)
+    assert np.all(np.isfinite(psi))
+    prob = np.abs(psi) ** 2
+    assert abs(prob.sum() - 1.0) < 1e-12
+    assert abs(prob @ sys.m_values() / sys.j - kt.bloch_from_gamma(g).z) < 1e-10
