@@ -32,6 +32,7 @@ from .floquet import (
     KickedTopParams,
     build_floquet,
     diagonalize_floquet,
+    floquet_kick,
     floquet_traces,
 )
 from .landscape import (
@@ -84,6 +85,7 @@ __all__ = [
     # floquet
     "KickedTopParams",
     "FloquetSpectrum",
+    "floquet_kick",
     "build_floquet",
     "diagonalize_floquet",
     "floquet_traces",

@@ -23,7 +23,14 @@ from .effective import (
     build_effective_hamiltonian,
     effective_spectrum,
 )
-from .floquet import KickedTopParams, build_floquet, diagonalize_floquet, floquet_traces
+from .floquet import (
+    KickedTopParams,
+    _twist_phases,
+    build_floquet,
+    diagonalize_floquet,
+    floquet_kick,
+    floquet_traces,
+)
 from .landscape import CensusError, analytic_doqs, find_critical_points
 from .protocol import run_protocol
 from .spin import SpinSystem, build_operators
@@ -174,20 +181,23 @@ def _sweep_values(sweep) -> np.ndarray:
 def _spectrum_rows(cfg: RunConfig):
     ops = build_operators(SpinSystem(cfg.j))
     kappas = _sweep_values(cfg.kappa_sweep) if cfg.kappa_sweep else np.array([cfg.kappa])
+    kick = floquet_kick(ops, cfg.p)  # kappa-independent: one per run
 
     def one(kappa: float):
         par = KickedTopParams(p=cfg.p, kappa=float(kappa), T=cfg.T)
-        spec = diagonalize_floquet(build_floquet(ops, par), par.T)
+        spec = diagonalize_floquet(kick * _twist_phases(ops, par.kappa), par.T)
         eff = effective_spectrum(build_effective_hamiltonian(ops, par), par)
         rows = [(kappa, "exact", i, e) for i, e in enumerate(spec.quasienergies)]
         rows += [(kappa, "effective", i, e) for i, e in enumerate(np.sort(eff.folded))]
         return rows
 
-    out = []
-    with ThreadPoolExecutor(max_workers=_workers()) as ex:
-        for rows in ex.map(one, kappas):
-            out.extend(rows)
-    return ("kappa", "branch", "index", "quasienergy"), out
+    workers = min(_workers(), len(kappas))
+    if workers == 1:  # in this thread: a pool thread would add a malloc arena of its own
+        per_kappa = list(map(one, kappas))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            per_kappa = list(ex.map(one, kappas))
+    return ("kappa", "branch", "index", "quasienergy"), [row for rows in per_kappa for row in rows]
 
 
 def _doqs_rows(cfg: RunConfig):

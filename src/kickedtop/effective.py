@@ -5,14 +5,15 @@ H_E is tridiagonal in the J_z basis: diagonal (kappa/2j) m^2, superdiagonal
 <m+1|H_E|m> = (p/2) sqrt(j(j+1) - m(m+1)) g(theta_m) with
 g(theta) = (theta/2)(cot(theta/2) + i) and theta_m = kappa(2m+1)/(2j).
 Its eigenvalues are unfolded quasienergies; folding modulo omega compares
-them with the exact Floquet spectrum.
+them with the exact Floquet spectrum.  A diagonal phase gauge makes H_E real
+tridiagonal, so it is solved by scipy.linalg.eigh_tridiagonal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh_tridiagonal
 
 from .floquet import FloquetSpectrum, KickedTopParams
 from .spin import OperatorSet
@@ -99,14 +100,35 @@ def build_effective_hamiltonian(ops: OperatorSet, par: KickedTopParams) -> np.nd
 
 
 def effective_spectrum(h: np.ndarray, par: KickedTopParams) -> EffectiveSpectrum:
-    herm_defect = np.max(np.abs(h - h.conj().T))
+    """Eigenvalues and modes of a Hermitian tridiagonal h.
+
+    With D = diag(d), d_0 = 1 and d_{k+1} = d_k exp(-i arg h_{k,k+1}),
+    D^dag h D is real tridiagonal with off-diagonal |h_{k,k+1}|; its
+    eigenvectors V give the modes D V.  Raises ValueError when h has an
+    element beyond the first off-diagonals or is not Hermitian, both to
+    within 1e-10.
+    """
+    dim = h.shape[0]
+    # row k of this view of the flat matrix runs h[k, k], h[k, k+1], ...,
+    # h[k, dim-1], h[k+1, 0], ..., h[k+1, k]: its inner columns are exactly
+    # the elements off the band
+    rows = np.ravel(h)[:-1].reshape(dim - 1, dim + 1)
+    band_defect = np.max(np.abs(rows[:, 2:-1]), initial=0.0)
+    if band_defect > 1e-10:
+        raise ValueError(f"H_E not tridiagonal: max |H_ij| with |i - j| > 1 = {band_defect:.3e}")
+    upper = h.diagonal(1)
+    herm_defect = max(np.max(np.abs(h.diagonal().imag)), np.max(np.abs(h.diagonal(-1) - upper.conj())))
     if herm_defect > 1e-10:
         raise ValueError(f"H_E not Hermitian: max |H - H^dag| = {herm_defect:.3e}")
-    vals, vecs = eigh(h)
+    # a product of unit factors keeps each ratio d_{k+1}/d_k to rounding;
+    # angle(0) = 0 gives a zero element the factor 1
+    phases = np.cumprod(np.exp(-1j * np.angle(np.concatenate(([1.0], upper)))))
+    phases /= np.abs(phases)
+    vals, vecs = eigh_tridiagonal(h.diagonal().real, np.abs(upper))
     return EffectiveSpectrum(
         unfolded=vals,
         folded=fold_quasienergy(vals, par.omega),
-        modes=vecs,
+        modes=phases[:, None] * vecs,
         omega=par.omega,
     )
 
@@ -123,11 +145,16 @@ def circular_distance(a, b, omega: float):
     return np.abs(fold_quasienergy(np.asarray(a) - np.asarray(b), omega))
 
 
+_MATCH_ROWS = 64  # cyclic shifts per block of match_spectra's distance table
+
+
 def match_spectra(exact: FloquetSpectrum, eff: EffectiveSpectrum) -> MatchReport:
     """Align the two folded spectra on the circle and report distances.
 
     Both lists are sorted on the circle; all cyclic rotation offsets are
-    tried and the one with the least total circular distance wins.
+    tried and the one with the least total circular distance wins.  The
+    offsets are scored _MATCH_ROWS at a time, so the distance table takes
+    O(_MATCH_ROWS n) memory rather than O(n^2).
     """
     omega = exact.omega
     eps = np.sort(exact.quasienergies)
@@ -137,13 +164,16 @@ def match_spectra(exact: FloquetSpectrum, eff: EffectiveSpectrum) -> MatchReport
     order = np.argsort(folded)
     fs = folded[order]
     n = len(eps)
-    shifts = np.arange(n)
-    idx = (shifts[:, None] + np.arange(n)[None, :]) % n  # row k: fs rotated by k
-    dists = circular_distance(fs[idx], eps[None, :], omega)
-    best = int(np.argmin(dists.sum(axis=1)))
+    cols = np.arange(n)
+    totals = np.empty(n)
+    for k0 in range(0, n, _MATCH_ROWS):
+        shifts = np.arange(k0, min(k0 + _MATCH_ROWS, n))
+        idx = (shifts[:, None] + cols[None, :]) % n  # row k: fs rotated by k
+        totals[shifts] = circular_distance(fs[idx], eps[None, :], omega).sum(axis=1)
+    best = int(np.argmin(totals))
     pairing = np.empty(n, dtype=int)
-    pairing[order] = np.mod(np.arange(n) - best, n)
-    d = dists[best]
+    pairing[order] = np.mod(cols - best, n)
+    d = circular_distance(fs[(best + cols) % n], eps, omega)
     return MatchReport(
         max_circular_distance=float(d.max()),
         mean_circular_distance=float(d.mean()),

@@ -3,19 +3,29 @@ and traces of its powers.
 
 F = exp(-i p J_x) exp(-i (kappa/2j) J_z^2); quasienergies live in the first
 Brillouin zone [-omega/2, omega/2) with omega = 2 pi / T.
+
+Both factors commute with the exchange |m> <-> |-m>, which is the kick parity
+exp(-i pi J_x) up to the phase e^{-i pi j} (Haake, Kus and Scharf, Z. Phys.
+B 65, 381 (1987)).  Every matrix here is therefore handled as two parity
+blocks, on the even and odd combinations (|m> +- |-m>)/sqrt 2 with m > 0;
+for integer j, |m=0> joins the even block.  The kick comes from the real
+tridiagonal J_x of each block, and diagonalize_floquet accepts only a
+parity-symmetric unitary: one whose cross-block elements are all within
+1e-9 of zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, schur
+from scipy.linalg import eigh_tridiagonal, schur
 
 from .spin import OperatorSet
 
 __all__ = [
     "KickedTopParams",
     "FloquetSpectrum",
+    "floquet_kick",
     "build_floquet",
     "diagonalize_floquet",
     "floquet_traces",
@@ -51,6 +61,7 @@ class FloquetSpectrum:
 
     Column alpha of modes satisfies F |mode_alpha> = exp(-i eps_alpha T) |mode_alpha>;
     degenerate eigenphases carry an orthonormalized basis of their subspace.
+    From diagonalize_floquet every mode is even or odd under |m> <-> |-m>.
     """
 
     quasienergies: np.ndarray
@@ -66,36 +77,134 @@ class FloquetSpectrum:
         return len(self.quasienergies)
 
 
+_HALF = np.sqrt(0.5)
+
+
+def _fold(a: np.ndarray):
+    """Even block, odd block and largest cross-block element of a.
+
+    Row and column k < n = dim // 2 of a block stand for the pair of basis
+    indices k and dim-1-k (m and -m); index n of the even block is |m=0>.
+    The quadrants are read through slice views, and each block is the
+    parity-symmetric part of a.
+    """
+    dim = a.shape[0]
+    n = dim // 2
+    flip = a[::-1, ::-1]
+    tl, br = a[:n, :n], flip[:n, :n]  # <k|a|l>, <-k|a|-l>
+    tr, bl = a[:n, ::-1][:, :n], a[::-1, :n][:n]  # <k|a|-l>, <-k|a|l>
+    s, d = tl + br, tr + bl
+    even = np.empty((dim - n, dim - n), dtype=complex)
+    even[:n, :n] = 0.5 * (s + d)
+    odd = 0.5 * (s - d)
+    u, v = tl - br, tr - bl
+    defect = 0.5 * max(np.max(np.abs(u - v)), np.max(np.abs(u + v)))
+    if dim % 2:
+        col, row = a[:, n], a[n]
+        even[:n, n] = _HALF * (col[:n] + col[::-1][:n])
+        even[n, :n] = _HALF * (row[:n] + row[::-1][:n])
+        even[n, n] = a[n, n]
+        defect = max(defect, _HALF * np.max(np.abs(col[:n] - col[::-1][:n])),
+                     _HALF * np.max(np.abs(row[:n] - row[::-1][:n])))
+    return even, odd, float(defect)
+
+
+def _unfold(q: np.ndarray, even: bool, out: np.ndarray, cols):
+    """Write the J_z-basis columns of block vectors q into out[:, cols]."""
+    dim = out.shape[0]
+    n = dim // 2
+    half = _HALF * q[:n]
+    out[:n, cols] = half
+    out[::-1][:n, cols] = half if even else -half
+    if dim % 2:
+        out[n, cols] = q[n] if even else 0.0
+
+
+def _tridiagonal_blocks(ops: OperatorSet):
+    """J_x as the (diagonal, off-diagonal) of its even and odd blocks."""
+    dim = ops.dim
+    n = dim // 2
+    off = ops.jx.diagonal(1).real[:n].copy()  # <k|J_x|k+1>; the last is the centre link
+    if dim % 2:  # |e_{n-1}> couples to |0> through both |m=1> and |m=-1>
+        off[-1] *= np.sqrt(2.0)
+        return (np.zeros(n + 1), off), (np.zeros(n), off[:-1])
+    centre = np.zeros(n)  # <e_{n-1}|J_x|e_{n-1}> = +-<1/2|J_x|-1/2>
+    centre[-1] = off[-1]
+    return (centre, off[:-1]), (-centre, off[:-1])
+
+
+def floquet_kick(ops: OperatorSet, p: float) -> np.ndarray:
+    """exp(-i p J_x), from the real tridiagonal J_x of each parity block."""
+    blocks = []
+    for diag, off in _tridiagonal_blocks(ops):
+        w, v = eigh_tridiagonal(diag, off)
+        phase = np.exp(-1j * p * w)
+        blocks.append((v * phase.real) @ v.T + 1j * ((v * phase.imag) @ v.T))
+    even, odd = blocks
+    # unfold the two blocks: the top half of rows, then its mirror image
+    dim = ops.dim
+    n = dim // 2
+    kick = np.empty((dim, dim), dtype=complex)
+    kick[:n, :n] = 0.5 * (even[:n, :n] + odd)
+    kick[:n, ::-1][:, :n] = 0.5 * (even[:n, :n] - odd)
+    if dim % 2:
+        kick[:n, n] = _HALF * even[:n, n]
+        kick[n, :n] = _HALF * even[n, :n]
+        kick[n, ::-1][:n] = kick[n, :n]
+        kick[n, n] = even[n, n]
+    kick[::-1, ::-1][:n] = kick[:n]
+    return kick
+
+
+def _twist_phases(ops: OperatorSet, kappa: float) -> np.ndarray:
+    """Diagonal of the twist exp(-i (kappa/2j) J_z^2) in the J_z basis."""
+    m = ops.j - np.arange(ops.dim)
+    return np.exp(-1j * (kappa / (2.0 * ops.j)) * m**2)
+
+
 def build_floquet(ops: OperatorSet, par: KickedTopParams) -> np.ndarray:
     """Kick factor times twist factor, in that order.
 
-    The twist factor is diagonal in the J_z basis; the kick factor is built
-    from one spectral decomposition of J_x (exact rotation spectrum {m}).
+    The twist is diagonal in the J_z basis, so it multiplies the columns of
+    the kick.  A sweep over kappa at fixed p can build the kick once and
+    multiply in each twist, as the CLI does.
     """
-    j = ops.j
-    m = j - np.arange(ops.dim)
-    w, v = eigh(ops.jx)
-    kick = (v * np.exp(-1j * par.p * w)) @ v.conj().T
-    twist_phases = np.exp(-1j * (par.kappa / (2.0 * j)) * m**2)
-    return kick * twist_phases  # right-multiplication by the diagonal twist
+    f = floquet_kick(ops, par.p)
+    f *= _twist_phases(ops, par.kappa)
+    return f
 
 
 def diagonalize_floquet(F: np.ndarray, T: float = 1.0) -> FloquetSpectrum:
     """Quasienergies eps = -arg(lambda)/T sorted ascending, with modes.
 
-    arg in (-pi, pi] makes -arg/T land in [-omega/2, omega/2) directly, so
-    the zone is half-open without a separate boundary fix.  The complex Schur
-    form of a unitary matrix is diagonal, and its orthonormal columns give a
-    clean basis even through degeneracies.
+    F must commute with the exchange |m> <-> |-m> to within 1e-9 in its
+    cross-block elements and be unitary to within 1e-9 in each parity block;
+    otherwise ValueError.  Each block is brought to complex Schur form, which
+    for a unitary matrix is diagonal, with orthonormal columns that give a
+    clean basis even through degeneracies.  arg in (-pi, pi] makes -arg/T
+    land in [-omega/2, omega/2) directly, so the zone is half-open without a
+    separate boundary fix.  Every mode is even or odd under the exchange.
     """
     dim = F.shape[0]
-    defect = np.max(np.abs(F.conj().T @ F - np.eye(dim)))
+    even, odd, defect = _fold(F)
     if defect > 1e-9:
-        raise ValueError(f"input is not unitary: max |F^dag F - I| = {defect:.3e}")
-    t, q = schur(F, output="complex")
-    eps = -np.angle(np.diag(t)) / T
+        raise ValueError(f"input is not parity-symmetric: max cross-block |F| = {defect:.3e}")
+    blocks = []
+    for b in (even, odd):
+        unitarity = np.max(np.abs(b.conj().T @ b - np.eye(len(b))))
+        if unitarity > 1e-9:
+            raise ValueError(f"input is not unitary: max |F^dag F - I| = {unitarity:.3e} in a parity block")
+        t, q = schur(b, output="complex")
+        blocks.append((-np.angle(np.diag(t)) / T, q))
+    eps = np.concatenate([e for e, _ in blocks])
     order = np.argsort(eps, kind="stable")
-    return FloquetSpectrum(quasienergies=eps[order], modes=q[:, order], T=T)
+    column = np.empty(dim, dtype=int)
+    column[order] = np.arange(dim)  # where each block eigenvector lands
+    modes = np.empty((dim, dim), dtype=complex)
+    split = len(even)
+    _unfold(blocks[0][1], True, modes, column[:split])
+    _unfold(blocks[1][1], False, modes, column[split:])
+    return FloquetSpectrum(quasienergies=eps[order], modes=modes, T=T)
 
 
 def floquet_traces(F, n_max: int, T: float = 1.0) -> np.ndarray:

@@ -61,11 +61,17 @@ class ProtocolResult:
     participation_ratio: float
 
 
+def _expectations(modes: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Re <Phi|A|Phi> per column, with one A @ modes product as the only
+    matrix-sized temporary (the real and imaginary parts are views)."""
+    am = a @ modes
+    return np.einsum("ia,ia->a", modes.real, am.real) + np.einsum("ia,ia->a", modes.imag, am.imag)
+
+
 def mode_magnetization(spec: FloquetSpectrum, ops: OperatorSet, h_eff: np.ndarray) -> ModeMagnetization:
     """<Phi|H_E|Phi> and <Phi|J_x/j|Phi> for every Floquet mode."""
-    modes = spec.modes
-    energies = np.einsum("ia,ij,ja->a", modes.conj(), h_eff, modes, optimize=True).real
-    mags = np.einsum("ia,ij,ja->a", modes.conj(), ops.jx / ops.j, modes, optimize=True).real
+    energies = _expectations(spec.modes, h_eff)
+    mags = _expectations(spec.modes, ops.jx) / ops.j
     order = np.argsort(energies)
     return ModeMagnetization(energies=energies[order], magnetizations=mags[order])
 

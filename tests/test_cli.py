@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import kickedtop as kt
 from kickedtop import cli
 
 
@@ -109,13 +110,27 @@ def test_doqs_columns(tmp_path):
     assert max(float(r[2]) for r in rows) <= cli.RHO_CLIP
 
 
-def test_sweep_grid(tmp_path):
+def test_sweep_grid(tmp_path, monkeypatch):
+    argv = ["sweep", "--j", "5", "--kappa-sweep", "0:0.5:0.1"]
     out = tmp_path / "s.csv"
-    assert cli.run(["sweep", "--j", "5", "--kappa-sweep", "0:0.5:0.1", "--out", str(out)]) == 0
+    assert cli.run([*argv, "--out", str(out)]) == 0
     rows = _data_rows(_read(out))
     kappas = sorted({float(r[0]) for r in rows})
     assert len(kappas) == 6  # endpoints inclusive
     assert kappas[0] == 0.0 and abs(kappas[-1] - 0.5) < 1e-12
+    # the sweep builds one kick for every kappa; each spectrum equals the
+    # library's build_floquet one to the printed digit
+    ops = kt.build_operators(kt.SpinSystem(5.0))
+    for kappa in kappas:
+        spec = kt.diagonalize_floquet(kt.build_floquet(ops, kt.KickedTopParams(p=0.1, kappa=kappa)))
+        exact = [float(r[3]) for r in rows if float(r[0]) == kappa and r[1] == "exact"]
+        assert exact == spec.quasienergies.tolist()
+    # the same rows in the calling thread and in a thread pool
+    for workers in ("1", "3"):
+        monkeypatch.setenv("KICKEDTOP_WORKERS", workers)
+        out_w = tmp_path / f"s{workers}.csv"
+        assert cli.run([*argv, "--out", str(out_w)]) == 0
+        assert _data_rows(_read(out_w)) == rows
 
 
 def test_protocol_rows(tmp_path):

@@ -1,8 +1,13 @@
 """BCH effective Hamiltonian: structure, limits, singularities, spectrum match."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kickedtop as kt
+import spectrum_oracles
+from conftest import rng
+from kickedtop import effective
 from kickedtop.effective import SingularMatrixElementError
 
 
@@ -73,6 +78,37 @@ def test_effective_spectrum_rejects_nonhermitian(heff40, par40):
     bad[0, 1] += 1e-3
     with pytest.raises(ValueError):
         kt.effective_spectrum(bad, par40)
+
+
+@pytest.mark.parametrize("pos", [[(0, 2), (2, 0)], [(0, 2)], [(2, 0)], [(40, 42)], [(80, 0)], [(0, 80)], [(79, 77)]])
+def test_effective_spectrum_rejects_nontridiagonal(heff40, par40, pos):
+    # one element, or a Hermitian pair, just off the band or in a far corner
+    bad = heff40.copy()
+    for i, k in pos:
+        bad[i, k] = 1e-3
+    with pytest.raises(ValueError, match="not tridiagonal"):
+        kt.effective_spectrum(bad, par40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    j=st.integers(1, 60).map(lambda n: n / 2),
+    p=st.floats(0.0, 0.3),
+    kappa=st.floats(0.0, 1.0),
+)
+@example(j=7.0, p=0.0, kappa=0.6)  # diagonal: every gauge phase is 1
+@example(j=12.0, p=0.2, kappa=0.0)  # H_E = p J_x
+@example(j=0.5, p=0.3, kappa=1.0)
+def test_effective_spectrum_matches_dense_eigh(j, p, kappa):
+    ops = kt.build_operators(kt.SpinSystem(j))
+    par = kt.KickedTopParams(p=p, kappa=kappa)
+    h = kt.build_effective_hamiltonian(ops, par)
+    eff = kt.effective_spectrum(h, par)
+    vals, _ = spectrum_oracles.effective_spectrum(h)
+    assert np.max(np.abs(eff.unfolded - vals)) < 1e-10
+    v = eff.modes
+    assert np.max(np.abs(h @ v - v * eff.unfolded)) < 1e-10
+    assert np.max(np.abs(v.conj().T @ v - np.eye(ops.dim))) < 1e-10
 
 
 def test_level_clustering_near_saddle(heff40, par40):
@@ -155,3 +191,47 @@ def test_match_pairing_is_nearest_alignment(spec40, heff40, par40):
     d = kt.circular_distance(eff.folded, np.sort(spec40.quasienergies)[rep.pairing], par40.omega)
     assert abs(d.max() - rep.max_circular_distance) < 1e-15
     assert abs(d.mean() - rep.mean_circular_distance) < 1e-15
+
+
+@pytest.mark.parametrize("rows", [1, 7, effective._MATCH_ROWS])
+@pytest.mark.parametrize("n", [2, 81, 300])
+def test_match_blocks_equal_one_table(monkeypatch, rows, n):
+    # scoring the cyclic shifts block by block changes neither the winning
+    # shift nor a single bit of the distances
+    monkeypatch.setattr(effective, "_MATCH_ROWS", rows)
+    g = rng(n)
+    exact = kt.FloquetSpectrum(quasienergies=np.sort(g.uniform(-np.pi, np.pi, n)), modes=None)
+    unfolded = np.sort(g.uniform(-9.0, 9.0, n))
+    eff = kt.EffectiveSpectrum(unfolded, kt.fold_quasienergy(unfolded, 2 * np.pi), None, 2 * np.pi)
+    rep = kt.match_spectra(exact, eff)
+    _, pairing, d = spectrum_oracles.match_spectra(exact, eff)
+    assert np.array_equal(rep.pairing, pairing)
+    assert rep.max_circular_distance == float(d.max())
+    assert rep.mean_circular_distance == float(d.mean())
+
+
+def test_match_at_j5000_in_bounded_memory():
+    # n = 10001: an n x n table would take 800 MB per array.  Each effective
+    # value sits 0.3 spacings above its exact partner and the top one wraps
+    # to the bottom of the zone, so the winning cyclic shift is 1
+    import tracemalloc
+
+    n = 10001
+    g = rng(11)
+    spacing = 2 * np.pi / n
+    eps = -np.pi + spacing * (np.arange(n) + 0.75 + 0.2 * g.uniform(size=n))
+    perm = g.permutation(n)
+    folded = kt.fold_quasienergy(eps[perm] + 0.3 * spacing, 2 * np.pi)
+    assert np.count_nonzero(folded < eps[perm]) == 1
+    eff = kt.EffectiveSpectrum(None, folded, None, 2 * np.pi)
+    exact = kt.FloquetSpectrum(quasienergies=eps, modes=None)
+    tracemalloc.start()
+    try:
+        rep = kt.match_spectra(exact, eff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rep.pairing, perm)
+    assert abs(rep.max_circular_distance - 0.3 * spacing) < 1e-12
+    assert abs(rep.mean_circular_distance - 0.3 * spacing) < 1e-12
+    assert peak < 100e6

@@ -1,9 +1,13 @@
 """Floquet unitary construction, quasienergy folding, traces, symmetry."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import kickedtop as kt
+import spectrum_oracles
+from conftest import rng
 
 
 def _ops(j):
@@ -22,6 +26,13 @@ def test_build_floquet_matches_expm_oracle():
     F = kt.build_floquet(ops, par)
     oracle = expm(-1j * par.p * ops.jx) @ expm(-1j * (par.kappa / 2.0) * ops.jz @ ops.jz)
     assert np.max(np.abs(F - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("j", [0.5, 2.5, 7.0, 7.5, 40.0])
+def test_kick_matches_expm_oracle(j):
+    # integer and half-integer j: with and without |m=0> in the even block
+    ops = _ops(j)
+    assert np.max(np.abs(kt.floquet_kick(ops, 0.3) - expm(-0.3j * ops.jx))) < 1e-12
 
 
 def test_pure_kick_limit():
@@ -52,8 +63,27 @@ def test_spectrum_invariants(spec40, ops40, par40):
 
 
 def test_diagonalize_rejects_nonunitary():
-    with pytest.raises(ValueError):
-        kt.diagonalize_floquet(np.diag([1.0, 0.5]))
+    # parity-symmetric (|m> <-> |-m> leaves it unchanged), so the unitarity
+    # check is what rejects it
+    with pytest.raises(ValueError, match="not unitary"):
+        kt.diagonalize_floquet(np.diag([1.0, 0.5, 1.0]))
+
+
+def test_diagonalize_rejects_asymmetric_unitary(ops40, par40):
+    with pytest.raises(ValueError, match="not parity-symmetric"):
+        kt.diagonalize_floquet(np.diag([1.0, 1j]))
+    # a coupling in one direction only, even to odd or odd to even
+    for sign in (1.0, -1.0):
+        with pytest.raises(ValueError, match="not parity-symmetric"):
+            kt.diagonalize_floquet(np.array([[1.5, -0.5 * sign], [0.5 * sign, 0.5]]))
+    q, _ = np.linalg.qr(rng(6).normal(size=(5, 5)) + 1j * rng(7).normal(size=(5, 5)))
+    with pytest.raises(ValueError, match="not parity-symmetric"):
+        kt.diagonalize_floquet(q)
+    # a kick about y breaks the symmetry by about 1e-6 in a cross-block element
+    F = kt.build_floquet(ops40, par40)
+    tilt = expm(-1e-8j * ops40.jy)
+    with pytest.raises(ValueError, match="not parity-symmetric"):
+        kt.diagonalize_floquet(tilt @ F)
 
 
 def test_period_rescaling(ops40, par40):
@@ -78,6 +108,37 @@ def test_parity_symmetry(spec40, ops40, par40, parity40):
     isolated[1:] &= np.diff(eps) > 1e-6
     isolated[:-1] &= np.diff(eps) > 1e-6
     assert np.all(np.abs(np.abs(emn[isolated]) - 1.0) < 1e-8)
+
+
+def _circle_mismatch(a, b):
+    """Largest circular distance between two ascending phase lists whose cut
+    at the zone edge may fall on either side of a pair."""
+    return min(np.max(np.abs(kt.fold_quasienergy(np.roll(a, s) - b, 2 * np.pi))) for s in (-1, 0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    j=st.integers(1, 60).map(lambda n: n / 2),
+    p=st.floats(0.0, 0.3),
+    kappa=st.floats(0.0, 1.0),
+)
+@example(j=7.0, p=0.0, kappa=0.6)  # twist only: +-m degenerate across the blocks
+@example(j=7.5, p=0.0, kappa=0.6)
+@example(j=12.0, p=0.2, kappa=0.0)  # kick only
+@example(j=0.5, p=0.3, kappa=1.0)  # two 1 x 1 blocks
+@example(j=1.0, p=0.0, kappa=0.0)  # F = 1
+def test_block_spectrum_matches_dense_schur(j, p, kappa):
+    ops = _ops(j)
+    F = kt.build_floquet(ops, kt.KickedTopParams(p=p, kappa=kappa))
+    spec = kt.diagonalize_floquet(F)
+    assert _circle_mismatch(spec.quasienergies, spectrum_oracles.floquet_quasienergies(F)) < 1e-10
+    q = spec.modes
+    assert np.max(np.abs(F @ q - q * np.exp(-1j * spec.quasienergies))) < 1e-10
+    assert np.max(np.abs(q.conj().T @ q - np.eye(ops.dim))) < 1e-10
+    # every mode is even or odd under the exchange |m> <-> |-m>
+    flipped = q[::-1]
+    parity_defect = np.minimum(np.abs(flipped - q).max(axis=0), np.abs(flipped + q).max(axis=0))
+    assert parity_defect.max() < 1e-10
 
 
 def test_traces_against_matrix_powers():

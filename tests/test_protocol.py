@@ -113,7 +113,17 @@ def test_time_average_zone_edge_pair():
     # not ~2 pi, to stay accurate at large K
     g = rng(4)
     dim, steps = 6, 2000
-    q, _ = np.linalg.qr(g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim)))
+    # eigenvectors: random bases of the even and odd combinations of
+    # |m> and |-m>, so that the unitary is parity-symmetric
+    half = dim // 2
+    pairs = np.zeros((dim, dim))
+    for k in range(half):
+        pairs[[k, dim - 1 - k], k] = np.sqrt(0.5)
+        pairs[[k, dim - 1 - k], half + k] = np.sqrt(0.5) * np.array([1.0, -1.0])
+    q = np.zeros((dim, dim), dtype=complex)
+    for cols in (slice(0, half), slice(half, dim)):
+        q[cols, cols], _ = np.linalg.qr(g.normal(size=(half, half)) + 1j * g.normal(size=(half, half)))
+    q = pairs @ q
     eps = np.array([-np.pi + 1e-9, np.pi - 1e-9, -1.0, 0.2, 0.5, 2.0])
     f = (q * np.exp(-1j * eps)) @ q.conj().T
     spec = kt.diagonalize_floquet(f, 1.0)
