@@ -137,7 +137,10 @@ def fold_quasienergy(e, omega: float):
     """Reduce to the first Brillouin zone [-omega/2, omega/2)."""
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    return np.mod(e + 0.5 * omega, omega) - 0.5 * omega
+    r = np.mod(e + 0.5 * omega, omega)
+    # np.mod rounds a result just below omega up to omega itself, which
+    # would land on the excluded edge +omega/2; that is the residue 0
+    return np.where(r == omega, 0.0, r)[()] - 0.5 * omega
 
 
 def circular_distance(a, b, omega: float):

@@ -5,7 +5,11 @@ stroboscopic map.
 
 The landscape is E_G(R) = (kappa/2) Z^2 + (kappa p Z / 2) [X cot(kappa Z / 2) - Y],
 the scaled coherent-state expectation of the effective Hamiltonian.  Critical
-quasienergies are E_c = j E_G(R_c).
+quasienergies are E_c = j E_G(R_c).  Its derivatives are taken on the sphere
+itself: qel_grad_hess gives the tangent gradient and the Riemannian Hessian
+H_R in an orthonormal tangent basis, and the stationary-phase amplitude
+A_c = 1 / (2 pi j sqrt|det H_R|) needs no chart, so the poles of the gamma
+chart are ordinary points.
 """
 from __future__ import annotations
 
@@ -43,8 +47,10 @@ class CotangentPoleError(ArithmeticError):
 
 
 class BifurcationError(ArithmeticError):
-    """kappa = p: the Hessian at (1, 0, 0) is degenerate and the critical
-    structure changes; the finder refuses the degenerate case."""
+    """kappa at the bifurcation kappa_c ~ p - p^3/12, the root of
+    kappa - p + p kappa^2 / 12: there det H_R = -p (kappa - p + p kappa^2 / 12)
+    at (1, 0, 0) vanishes and the saddle merges with the maxima pair; the
+    finder refuses |kappa - p + p kappa^2 / 12| < 1e-6."""
 
 
 class CensusError(RuntimeError):
@@ -60,14 +66,13 @@ class CriticalPoint:
     eps_folded: float
     beta: int
     amplitude: float
-    hessian_det: float  # in real chart coordinates (u, v) of `chart`
-    chart: str  # "primary" (pole at +x) | "antipodal" (pole at -x)
+    hessian_det: float  # det H_R, the tangent-plane Hessian of qel_grad_hess
 
 
 @dataclass(frozen=True)
 class CriticalSet:
     points: tuple
-    regime: str  # "above" (kappa > p) | "below" (kappa < p)
+    regime: str  # "above" (kappa > kappa_c, saddle at (1, 0, 0)) | "below" (kappa < kappa_c)
 
     def by_kind(self, kind: str) -> tuple:
         return tuple(c for c in self.points if c.kind == kind)
@@ -111,72 +116,16 @@ def qel_value(r: BlochVector, par: KickedTopParams) -> float:
     return float(val)
 
 
-def _chart_jacobians(u: float, v: float):
-    """First and second derivatives of the chart map (u, v) -> (X, Y, Z)."""
-    d = 1.0 + u * u + v * v
-    d2 = d * d
-    d3 = d2 * d
-    jac = np.array(
-        [
-            [-4.0 * u / d2, -4.0 * v / d2],
-            [-4.0 * u * v / d2, 2.0 / d - 4.0 * v * v / d2],
-            [-2.0 / d + 4.0 * u * u / d2, 4.0 * u * v / d2],
-        ]
-    )
-    hx = np.array(
-        [
-            [-4.0 / d2 + 16.0 * u * u / d3, 16.0 * u * v / d3],
-            [16.0 * u * v / d3, -4.0 / d2 + 16.0 * v * v / d3],
-        ]
-    )
-    hy = np.array(
-        [
-            [-4.0 * v / d2 + 16.0 * u * u * v / d3, -4.0 * u / d2 + 16.0 * u * v * v / d3],
-            [-4.0 * u / d2 + 16.0 * u * v * v / d3, -12.0 * v / d2 + 16.0 * v**3 / d3],
-        ]
-    )
-    hz = np.array(
-        [
-            [12.0 * u / d2 - 16.0 * u**3 / d3, 4.0 * v / d2 - 16.0 * u * u * v / d3],
-            [4.0 * v / d2 - 16.0 * u * u * v / d3, 4.0 * u / d2 - 16.0 * u * v * v / d3],
-        ]
-    )
-    return jac, (hx, hy, hz)
+def qel_grad_hess(r: np.ndarray, par: KickedTopParams):
+    """Gradient and Hessian of E_G on the sphere at a unit Bloch 3-vector.
 
-
-def qel_grad_hess(g, par: KickedTopParams, chart: str = "primary"):
-    """Gradient and Hessian of E_G in real chart coordinates (u, v).
-
-    chart="primary" is the gamma chart centered at (1, 0, 0); "antipodal" is
-    gamma' = -1/gamma*, centered at (-1, 0, 0), whose Bloch map is the point
-    reflection of the primary one.  Derivatives are analytic via the chain
-    rule on the ambient extension of E_G.
+    Returns the tangent gradient, the tangent-plane (Riemannian) Hessian
+    H_R = T^t (ambient Hessian) T - (r . ambient gradient) I and the
+    orthonormal tangent basis T as the columns of a (3, 2) array.
     """
-    if isinstance(g, StereoCoord):
-        if g.at_infinity:
-            raise ValueError("chart derivatives need a finite chart point; use the antipodal chart")
-        gamma = g.gamma
-    else:
-        gamma = complex(g)
-    u, v = gamma.real, gamma.imag
-    sign = 1.0
-    if chart == "antipodal":
-        sign = -1.0
-    elif chart != "primary":
-        raise ValueError(f"unknown chart {chart!r}")
-    r = sign * bloch_from_gamma(StereoCoord(gamma)).as_array()
-    _, gx, gy, gz, hxz, hyz, hzz = _ambient(r[0], r[1], r[2], par)
-    grad_amb = np.array([gx, gy, gz])
-    hess_amb = np.array([[0.0, 0.0, hxz], [0.0, 0.0, hyz], [hxz, hyz, hzz]])
-    jac, (hx, hy, hz) = _chart_jacobians(u, v)
-    jac = sign * jac
-    grad = jac.T @ grad_amb
-    hess = jac.T @ hess_amb @ jac + sign * (gx * hx + gy * hy + gz * hz)
-    return grad, hess
-
-
-def _riemannian_grad_hess(r: np.ndarray, par: KickedTopParams):
-    """Projected gradient and tangent-plane Hessian at a unit Bloch point."""
+    nrm = np.sqrt(r @ r)
+    if abs(nrm - 1.0) > 1e-9:
+        raise ValueError(f"Bloch vector must be unit length, |r| = {nrm}")
     _, gx, gy, gz, hxz, hyz, hzz = _ambient(r[0], r[1], r[2], par)
     grad_amb = np.array([gx, gy, gz])
     hess_amb = np.array([[0.0, 0.0, hxz], [0.0, 0.0, hyz], [hxz, hyz, hzz]])
@@ -191,29 +140,20 @@ def _riemannian_grad_hess(r: np.ndarray, par: KickedTopParams):
     return grad2, hess2, basis
 
 
-def critical_amplitude(g, par: KickedTopParams, j: float, chart: str = None):
-    """Stationary-phase amplitude and index at a critical chart point.
+def critical_amplitude(r: np.ndarray, par: KickedTopParams, j: float):
+    """Stationary-phase amplitude and index at a critical Bloch point.
 
-    A_c = 2 (1 + |gamma_c|^2)^-2 / (pi j sqrt(|det H|)) with the Hessian in
-    real chart coordinates; beta = +2 / -2 / 0 for maximum / minimum / saddle.
-    The minimum sits at the primary chart's point at infinity, so it is
-    evaluated in the antipodal chart (gamma' = 0 there).  Returns
-    (amplitude, beta, hessian_det, chart).
+    A_c = 1 / (2 pi j sqrt|det H_R|) with H_R the Riemannian Hessian of
+    qel_grad_hess; beta = +2 / -2 / 0 for maximum / minimum / saddle, from
+    the signature of H_R.  Returns (amplitude, beta, det H_R).
     """
-    g = g if isinstance(g, StereoCoord) else StereoCoord(complex(g))
-    if chart is None:
-        chart = "antipodal" if (g.at_infinity or abs(g.gamma) > 2.0) else "primary"
-    if chart == "antipodal":
-        # gamma' = -1/gamma*; the chart's Bloch map is point-reflected
-        gamma_c = 0j if g.at_infinity else -1.0 / g.gamma.conjugate()
-    else:
-        if g.at_infinity:
-            raise ValueError("point at infinity requires the antipodal chart")
-        gamma_c = g.gamma
-    _, hess = qel_grad_hess(gamma_c, par, chart=chart)
+    return _amplitude_index(qel_grad_hess(r, par)[1], j, r)
+
+
+def _amplitude_index(hess: np.ndarray, j: float, r: np.ndarray):
     det = float(np.linalg.det(hess))
     if abs(det) < 1e-14:
-        raise ArithmeticError(f"degenerate Hessian at gamma = {gamma_c}: |det| = {abs(det):.3e}")
+        raise ArithmeticError(f"degenerate Hessian at r = {r}: |det H_R| = {abs(det):.3e}")
     evals = np.linalg.eigvalsh(hess)
     if evals[0] > 0:
         beta = -2  # positive definite: minimum
@@ -221,8 +161,8 @@ def critical_amplitude(g, par: KickedTopParams, j: float, chart: str = None):
         beta = 2  # negative definite: maximum
     else:
         beta = 0
-    amp = 2.0 / (1.0 + abs(gamma_c) ** 2) ** 2 / (np.pi * j * np.sqrt(abs(det)))
-    return float(amp), int(beta), det, chart
+    amp = 1.0 / (2.0 * np.pi * j * np.sqrt(abs(det)))
+    return float(amp), int(beta), det
 
 
 _KIND_BY_BETA = {2: "maximum", -2: "minimum", 0: "saddle"}
@@ -240,13 +180,18 @@ def find_critical_points(par: KickedTopParams, j: float) -> CriticalSet:
     """Locate, classify and weight all critical points of E_G.
 
     Newton refinement in tangent-plane coordinates from a 64 x 32 seed grid;
-    duplicates merged within 1e-6.  The census is enforced: {minimum, maximum}
-    for kappa < p, {minimum, saddle, maximum, maximum} for kappa > p.
+    duplicates merged within 1e-6.  The regime is "above" iff det H_R < 0 at
+    (1, 0, 0), i.e. kappa is above the bifurcation kappa_c ~ p - p^3/12.  The
+    census is enforced: {minimum, saddle, maximum, maximum} above,
+    {minimum, maximum} below.
     """
-    if abs(par.kappa - par.p) < 1e-6:
+    if abs(par.kappa - par.p + par.p * par.kappa**2 / 12.0) < 1e-6:
         raise BifurcationError(
-            f"kappa = {par.kappa} and p = {par.p} are within 1e-6: degenerate Hessian at (1,0,0)"
+            f"kappa = {par.kappa} is within 1e-6 of the bifurcation kappa - p + p kappa^2/12 = 0 "
+            f"(p = {par.p}): degenerate Hessian at (1,0,0)"
         )
+    _, hess_x, _ = qel_grad_hess(np.array([1.0, 0.0, 0.0]), par)
+    regime = "above" if np.linalg.det(hess_x) < 0 else "below"
     if not par.in_regular_regime:
         warnings.warn("parameters outside the regular regime; critical-point census may fail", stacklevel=2)
     seeds = _seed_grid()
@@ -259,38 +204,30 @@ def find_critical_points(par: KickedTopParams, j: float) -> CriticalSet:
         rest = rest[np.linalg.norm(rest - rest[0], axis=1) > 1e-6]
     points = []
     for r in uniq:
-        grad2, hess2, _ = _riemannian_grad_hess(r, par)
+        r = r / np.linalg.norm(r)
+        grad2, hess2, _ = qel_grad_hess(r, par)
         if np.linalg.norm(grad2) > 1e-10:
             continue
-        bloch = BlochVector.from_array(r / np.linalg.norm(r))
-        stereo = gamma_from_bloch(bloch)
-        amp, beta, det, chart = critical_amplitude(stereo, par, j)
+        bloch = BlochVector.from_array(r)
+        amp, beta, det = _amplitude_index(hess2, j, r)
         e_unf = j * qel_value(bloch, par)
         points.append(
             CriticalPoint(
                 kind=_KIND_BY_BETA[beta],
                 bloch=bloch,
-                stereo=stereo,
+                stereo=gamma_from_bloch(bloch),
                 E_unfolded=float(e_unf),
                 eps_folded=float(fold_quasienergy(e_unf, par.omega)),
                 beta=beta,
                 amplitude=amp,
                 hessian_det=det,
-                chart=chart,
             )
         )
     points.sort(key=lambda c: c.E_unfolded)
-    regime = "above" if par.kappa > par.p else "below"
     kinds = sorted(c.kind for c in points)
-    want = (
-        ["maximum", "maximum", "minimum", "saddle"]
-        if regime == "above"
-        else ["maximum", "minimum"]
-    )
+    want = ["maximum", "maximum", "minimum", "saddle"] if regime == "above" else ["maximum", "minimum"]
     if kinds != want:
-        raise CensusError(
-            f"critical census for regime {regime!r} is {kinds}, expected {want}"
-        )
+        raise CensusError(f"critical census for regime {regime!r} is {kinds}, expected {want}")
     return CriticalSet(points=tuple(points), regime=regime)
 
 

@@ -15,11 +15,7 @@ import numpy as np
 from . import _kernels
 from .effective import build_effective_hamiltonian
 from .floquet import FloquetSpectrum, KickedTopParams, build_floquet, diagonalize_floquet
-from .landscape import (
-    _riemannian_grad_hess,
-    find_critical_points,
-    qel_value,
-)
+from .landscape import find_critical_points, qel_grad_hess, qel_value
 from .spin import (
     BlochVector,
     OperatorSet,
@@ -127,7 +123,7 @@ def _flow_path(start: np.ndarray, par: KickedTopParams, direction: int, stop_e: 
     for _ in range(200000):
         if abs(es[-1] - stop_e) < 1e-6 or h < 1e-7:
             break
-        grad2, _, basis = _riemannian_grad_hess(r, par)
+        grad2, _, basis = qel_grad_hess(r, par)
         ga = basis @ grad2
         gn = np.linalg.norm(ga)
         if gn < 1e-9:
@@ -154,8 +150,6 @@ def run_protocol(par: KickedTopParams, j: float, branch: str, n_points: int, ste
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    if par.kappa <= par.p:
-        raise ValueError("protocol needs kappa > p (saddle must exist)")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     if steps < 0:
@@ -166,14 +160,16 @@ def run_protocol(par: KickedTopParams, j: float, branch: str, n_points: int, ste
             "time averages may not be converged",
             stacklevel=2,
         )
+    cps = find_critical_points(par, j)
+    if cps.regime != "above":
+        raise ValueError("protocol needs the saddle at (1, 0, 0): kappa above the bifurcation kappa_c")
     sys = SpinSystem(j)
     ops = build_operators(sys)
     spec = diagonalize_floquet(build_floquet(ops, par), par.T)
     h_eff = build_effective_hamiltonian(ops, par)
 
-    cps = find_critical_points(par, j)
     saddle = cps.saddle.bloch.as_array()
-    _, hess2, basis = _riemannian_grad_hess(saddle, par)
+    _, hess2, basis = qel_grad_hess(saddle, par)
     evals, evecs = np.linalg.eigh(hess2)
     if branch == "S->m":
         direction = -1

@@ -50,7 +50,8 @@ def test_config_error_exits_two(tmp_path, capsys):
 
 def test_numerical_error_exits_three(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
-    code = cli.run(["critical", "--kappa", "0.1", "--p", "0.1", "--j", "10", "--out", out])
+    # kappa at the bifurcation kappa_c(0.1), the root of kappa - p + p kappa^2 / 12
+    code = cli.run(["critical", "--kappa", "0.0999168", "--p", "0.1", "--j", "10", "--out", out])
     assert code == 3
     assert "numerical error" in capsys.readouterr().err
 

@@ -141,6 +141,24 @@ def test_fold_quasienergy():
         kt.fold_quasienergy(1.0, 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(e=st.floats(-1e3, 1e3), omega=st.floats(0.1, 10.0))
+@example(e=-np.pi - 4e-16, omega=2 * np.pi)  # np.mod rounds up to omega here
+@example(e=-np.pi, omega=2 * np.pi)
+@example(e=np.pi, omega=2 * np.pi)
+@example(e=3 * np.pi, omega=2 * np.pi)
+@example(e=-3 * np.pi, omega=2 * np.pi)
+@example(e=-0.5 - 1e-16, omega=1.0)
+@example(e=1.5, omega=1.0)
+def test_fold_quasienergy_half_open_zone(e, omega):
+    f = kt.fold_quasienergy(e, omega)
+    assert not isinstance(f, np.ndarray)  # scalars stay scalars
+    assert -0.5 * omega <= f < 0.5 * omega
+    k = np.round((e - f) / omega)
+    assert abs(e - f - k * omega) <= 4 * np.spacing(abs(e) + omega)
+    assert kt.fold_quasienergy(np.array([e]), omega)[0] == f
+
+
 def test_circular_distance():
     om = 2 * np.pi
     assert abs(kt.circular_distance(-np.pi + 0.1, np.pi - 0.1, om) - 0.2) < 1e-12

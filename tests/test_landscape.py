@@ -1,10 +1,13 @@
-"""Quasienergy landscape: values, chart derivatives, critical points,
+"""Quasienergy landscape: values, Riemannian derivatives, critical points,
 stationary-phase DOQS, classical map."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import kickedtop as kt
+import landscape_oracles
 from conftest import rng
 
 # frozen oracle values at j=40, p=0.1, kappa=0.2 (Newton tol 1e-12)
@@ -13,6 +16,11 @@ A_M_EACH = 0.022936926523306249
 A_MIN = 0.022984810197250363
 E_MAX = 5.002502362105111
 EPS_S = -2.2831853071795862
+
+
+def kappa_c(p):
+    """The bifurcation: the positive root of kappa - p + p kappa^2 / 12."""
+    return 6.0 * (np.sqrt(1.0 + p * p / 3.0) - 1.0) / p
 
 
 def test_qel_anchor_values(par40):
@@ -49,47 +57,60 @@ def test_qel_cotangent_pole():
     assert issubclass(kt.CotangentPoleError, ArithmeticError)
 
 
-def _qel_of_chart(u, v, par, chart):
-    r = kt.bloch_from_gamma(complex(u, v))
-    if chart == "antipodal":
-        r = kt.BlochVector(-r.x, -r.y, -r.z)
-    return kt.qel_value(r, par)
+def _geodesic_derivatives(r, v, par, h):
+    """First and second central differences of E_G along cos t r + sin t v."""
+    e = [kt.qel_value(kt.BlochVector(*(np.cos(t) * r + np.sin(t) * v)), par) for t in (-h, 0.0, h)]
+    return (e[2] - e[0]) / (2 * h), (e[2] - 2 * e[1] + e[0]) / (h * h)
 
 
-@pytest.mark.parametrize("chart", ["primary", "antipodal"])
-def test_grad_hess_vs_finite_differences(par40, chart):
-    h = 1e-5
+def test_grad_hess_vs_finite_differences(par40):
+    # along a unit-speed geodesic the first derivative is grad . v and the
+    # second is v^t H_R v; the chart poles (+-1, 0, 0) are ordinary points
     g = rng(11)
-    for _ in range(8):
-        u, v = g.normal(scale=1.2, size=2)
-        grad, hess = kt.qel_grad_hess(complex(u, v), par40, chart=chart)
-        fd_u = (_qel_of_chart(u + h, v, par40, chart) - _qel_of_chart(u - h, v, par40, chart)) / (2 * h)
-        fd_v = (_qel_of_chart(u, v + h, par40, chart) - _qel_of_chart(u, v - h, par40, chart)) / (2 * h)
-        assert np.allclose(grad, [fd_u, fd_v], rtol=1e-6, atol=1e-9)
-        # Hessian oracle: central differences of the analytic gradient
-        gp_u = kt.qel_grad_hess(complex(u + h, v), par40, chart=chart)[0]
-        gm_u = kt.qel_grad_hess(complex(u - h, v), par40, chart=chart)[0]
-        gp_v = kt.qel_grad_hess(complex(u, v + h), par40, chart=chart)[0]
-        gm_v = kt.qel_grad_hess(complex(u, v - h), par40, chart=chart)[0]
-        fd_hess = np.column_stack([(gp_u - gm_u) / (2 * h), (gp_v - gm_v) / (2 * h)])
-        assert np.allclose(hess, 0.5 * (fd_hess + fd_hess.T), rtol=1e-6, atol=1e-8)
+    points = [np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])]
+    points += [v / np.linalg.norm(v) for v in g.normal(size=(8, 3))]
+    for r in points:
+        grad, hess, basis = kt.qel_grad_hess(r, par40)
+        assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-15)
+        assert np.allclose(r @ basis, 0.0, atol=1e-15)
+        fd_grad, fd_hess = [], np.empty((2, 2))
+        for a in range(2):
+            fd_grad.append(_geodesic_derivatives(r, basis[:, a], par40, 1e-5)[0])
+            fd_hess[a, a] = _geodesic_derivatives(r, basis[:, a], par40, 1e-4)[1]
+        diag_p = _geodesic_derivatives(r, (basis[:, 0] + basis[:, 1]) / np.sqrt(2), par40, 1e-4)[1]
+        diag_m = _geodesic_derivatives(r, (basis[:, 0] - basis[:, 1]) / np.sqrt(2), par40, 1e-4)[1]
+        fd_hess[0, 1] = fd_hess[1, 0] = 0.5 * (diag_p - diag_m)
+        assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-9)
+        assert np.allclose(hess, fd_hess, rtol=1e-6, atol=1e-8)
 
 
 def test_pole_is_critical(par40):
-    grad, hess = kt.qel_grad_hess(0j, par40)
+    x = np.array([1.0, 0.0, 0.0])
+    grad, hess, _ = kt.qel_grad_hess(x, par40)
     assert np.max(np.abs(grad)) < 1e-14
     evals = np.linalg.eigvalsh(hess)
-    assert evals[0] < 0 < evals[1]  # kappa > p: saddle
-    grad, hess = kt.qel_grad_hess(0j, kt.KickedTopParams(p=0.1, kappa=0.05))
+    assert evals[0] < 0 < evals[1]  # kappa > kappa_c: saddle
+    grad, hess, _ = kt.qel_grad_hess(x, kt.KickedTopParams(p=0.1, kappa=0.05))
     assert np.max(np.abs(grad)) < 1e-14
-    assert np.all(np.linalg.eigvalsh(hess) < 0)  # kappa < p: extremum
+    assert np.all(np.linalg.eigvalsh(hess) < 0)  # kappa < kappa_c: extremum
+
+
+@pytest.mark.parametrize("p", [0.01, 0.1, 0.3])
+@pytest.mark.parametrize("kappa", [0.05, 0.2, 0.9])
+def test_det_at_pole_closed_form(p, kappa):
+    # det H_R = -p (kappa - p + p kappa^2 / 12) at (1, 0, 0), since h''(0) = -1/6
+    par = kt.KickedTopParams(p=p, kappa=kappa)
+    det = np.linalg.det(kt.qel_grad_hess(np.array([1.0, 0.0, 0.0]), par)[1])
+    assert abs(det + p * (kappa - p + p * kappa**2 / 12)) < 1e-15
 
 
 def test_grad_hess_rejects(par40):
     with pytest.raises(ValueError):
-        kt.qel_grad_hess(kt.StereoCoord.infinity(), par40)
+        kt.qel_grad_hess(np.array([0.5, 0.0, 0.0]), par40)
     with pytest.raises(ValueError):
-        kt.qel_grad_hess(0j, par40, chart="sideways")
+        kt.qel_grad_hess(np.array([0.0, 1.0 + 2e-9, 0.0]), par40)
+    grad, _, _ = kt.qel_grad_hess(np.array([0.0, 1.0 + 1e-10, 0.0]), par40)
+    assert grad.shape == (2,)
 
 
 def test_census_above_and_below(cps40):
@@ -111,10 +132,34 @@ def test_census_flips_across_bifurcation():
     assert len(kt.find_critical_points(kt.KickedTopParams(p=0.1, kappa=0.11), 40.0).points) == 4
 
 
+@pytest.mark.parametrize("p", [0.01, 0.05, 0.1, 0.2, 0.3])
+def test_census_at_kappa_c(p):
+    # the saddle survives below kappa = p, down to kappa_c ~ p - p^3/12
+    kc = kappa_c(p)
+    above = kt.find_critical_points(kt.KickedTopParams(p=p, kappa=kc + 2e-6), 40.0)
+    assert above.regime == "above" and len(above.points) == 4
+    below = kt.find_critical_points(kt.KickedTopParams(p=p, kappa=kc - 2e-6), 40.0)
+    assert below.regime == "below" and len(below.points) == 2
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3])
+def test_census_at_kappa_equal_p(p):
+    cps = kt.find_critical_points(kt.KickedTopParams(p=p, kappa=p), 40.0)
+    assert cps.regime == "above"
+    assert sorted(c.kind for c in cps.points) == ["maximum", "maximum", "minimum", "saddle"]
+
+
 def test_bifurcation_rejected():
     with pytest.raises(kt.BifurcationError):
-        kt.find_critical_points(kt.KickedTopParams(p=0.1, kappa=0.1), 40.0)
+        kt.find_critical_points(kt.KickedTopParams(p=0.1, kappa=kappa_c(0.1)), 40.0)
     assert issubclass(kt.BifurcationError, ArithmeticError)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3])
+@pytest.mark.parametrize("offset", [-5e-7, 0.0, 5e-7])
+def test_bifurcation_rejected_near_kappa_c(p, offset):
+    with pytest.raises(kt.BifurcationError):
+        kt.find_critical_points(kt.KickedTopParams(p=p, kappa=kappa_c(p) + offset), 40.0)
 
 
 def test_saddle_and_minimum_locations(cps40):
@@ -122,9 +167,9 @@ def test_saddle_and_minimum_locations(cps40):
     assert abs(s.bloch.x - 1.0) < 1e-9 and abs(s.bloch.y) < 1e-9 and abs(s.bloch.z) < 1e-9
     assert abs(s.E_unfolded - 4.0) < 1e-9
     assert abs(s.eps_folded - EPS_S) < 1e-9
-    assert s.beta == 0 and s.chart == "primary"
+    assert s.beta == 0
     m = cps40.minimum
-    assert m.stereo.at_infinity and m.chart == "antipodal"
+    assert m.stereo.at_infinity
     assert abs(m.E_unfolded + 4.0) < 1e-9
     assert m.beta == -2
 
@@ -142,10 +187,7 @@ def test_maxima_pair_symmetry(cps40):
 
 def test_critical_gradients_vanish(cps40, par40):
     for c in cps40.points:
-        if c.stereo.at_infinity:
-            grad, _ = kt.qel_grad_hess(0j, par40, chart="antipodal")
-        else:
-            grad, _ = kt.qel_grad_hess(c.stereo, par40)
+        grad, _, _ = kt.qel_grad_hess(c.bloch.as_array(), par40)
         assert np.linalg.norm(grad) < 1e-10
 
 
@@ -167,21 +209,43 @@ def test_amplitude_scales_inverse_j(par40, cps40):
     assert abs(cps80.saddle.amplitude - 0.5 * cps40.saddle.amplitude) < 1e-6 * A_S
 
 
+def _assert_matches_charts(c, par, j, rtol):
+    # each chart whose coordinate |gamma| <= 2 at the point gives the library
+    # amplitude and index (farther out the conformal factor^4 buries det)
+    amp, beta, det = kt.critical_amplitude(c.bloch.as_array(), par, j)
+    g = c.stereo
+    charts = []
+    if not g.at_infinity and abs(g.gamma) <= 2.0:
+        charts.append("primary")
+    if g.at_infinity or abs(g.gamma) >= 0.5:
+        charts.append("antipodal")
+    for chart in charts:
+        amp_c, beta_c, det_c, _ = landscape_oracles.chart_amplitude(c.stereo, par, j, chart=chart)
+        assert abs(amp - amp_c) <= rtol * amp_c
+        assert beta == beta_c == c.beta
+        assert np.sign(det) == np.sign(det_c)
+    return amp, det
+
+
 def test_amplitude_chart_invariance(cps40, par40):
-    # the conformal factor cancels: any chart covering the point gives the
-    # same amplitude (the recorded Hessian det differs)
+    for c in cps40.points:
+        amp, det = _assert_matches_charts(c, par40, 40.0, 1e-12)
+        assert amp == c.amplitude and det == c.hessian_det
     m1 = cps40.maxima[0]
-    amp_p, beta_p, det_p, _ = kt.critical_amplitude(m1.stereo, par40, 40.0, chart="primary")
-    amp_a, beta_a, det_a, _ = kt.critical_amplitude(m1.stereo, par40, 40.0, chart="antipodal")
-    assert abs(amp_p - amp_a) < 1e-10
-    assert beta_p == beta_a == 2
-    assert det_p != det_a
+    det_r = m1.hessian_det
+    for chart in ("primary", "antipodal"):
+        gamma = m1.stereo.gamma if chart == "primary" else -1.0 / m1.stereo.gamma.conjugate()
+        det_c = landscape_oracles.chart_amplitude(m1.stereo, par40, 40.0, chart=chart)[2]
+        assert det_c == pytest.approx((2.0 / (1.0 + abs(gamma) ** 2)) ** 4 * det_r, rel=1e-12)
 
 
 def test_amplitude_degenerate_hessian(par40):
-    # bisect the real axis for a point where the chart Hessian det vanishes
+    # bisect the meridian gamma = u in [0.25, 0.5] for a point where det H_R vanishes
+    def bloch_at(u):
+        return kt.bloch_from_gamma(complex(u, 0.0)).as_array()
+
     def det_at(u):
-        return float(np.linalg.det(kt.qel_grad_hess(complex(u, 0.0), par40)[1]))
+        return float(np.linalg.det(kt.qel_grad_hess(bloch_at(u), par40)[1]))
 
     lo, hi = 0.25, 0.5
     assert det_at(lo) < 0 < det_at(hi)
@@ -194,7 +258,31 @@ def test_amplitude_degenerate_hessian(par40):
         if abs(det_at(mid)) < 1e-15:
             break
     with pytest.raises(ArithmeticError):
-        kt.critical_amplitude(complex(mid, 0.0), par40, 40.0, chart="primary")
+        kt.critical_amplitude(bloch_at(mid), par40, 40.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    p=st.floats(0.01, 0.3),
+    side=st.sampled_from([-1.0, 1.0]),
+    frac=st.floats(0.0, 1.0),
+    twice_j=st.integers(1, 1000),
+)
+def test_census_and_amplitudes_property(p, side, frac, twice_j):
+    # kappa at a log-uniform distance in [1e-4, reach] from kappa_c, on
+    # either side, with kappa in (0, 1]
+    kc = kappa_c(p)
+    reach = kc - 1e-3 if side < 0 else 1.0 - kc
+    kappa = kc + side * 1e-4 * (reach / 1e-4) ** frac
+    j = twice_j / 2
+    par = kt.KickedTopParams(p=p, kappa=kappa)
+    cps = kt.find_critical_points(par, j)
+    kinds = ["maximum", "maximum", "minimum", "saddle"] if side > 0 else ["maximum", "minimum"]
+    assert cps.regime == ("above" if side > 0 else "below")
+    assert sorted(c.kind for c in cps.points) == kinds
+    for c in cps.points:
+        assert np.linalg.norm(kt.qel_grad_hess(c.bloch.as_array(), par)[0]) < 1e-10
+        _assert_matches_charts(c, par, j, 1e-9)
 
 
 def test_analytic_doqs_normalization(par40, cps40):
