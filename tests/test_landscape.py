@@ -63,13 +63,17 @@ def _geodesic_derivatives(r, v, par, h):
     return (e[2] - e[0]) / (2 * h), (e[2] - 2 * e[1] + e[0]) / (h * h)
 
 
-def test_grad_hess_vs_finite_differences(par40):
+@pytest.mark.parametrize("chart", ["primary", "antipodal"])
+def test_grad_hess_vs_finite_differences(par40, chart):
     # along a unit-speed geodesic the first derivative is grad . v and the
-    # second is v^t H_R v; the chart poles (+-1, 0, 0) are ordinary points
+    # second is v^t H_R v; the points are the centre and eight draws of the
+    # stereographic chart, which the antipodal chart maps to -r, so the
+    # chart poles (+-1, 0, 0) are ordinary points
+    sign = 1.0 if chart == "primary" else -1.0
     g = rng(11)
-    points = [np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])]
-    points += [v / np.linalg.norm(v) for v in g.normal(size=(8, 3))]
-    for r in points:
+    gammas = [0j] + [complex(u, v) for u, v in g.normal(scale=1.2, size=(8, 2))]
+    for gamma in gammas:
+        r = sign * kt.bloch_from_gamma(gamma).as_array()
         grad, hess, basis = kt.qel_grad_hess(r, par40)
         assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-15)
         assert np.allclose(r @ basis, 0.0, atol=1e-15)
