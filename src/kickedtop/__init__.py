@@ -54,6 +54,7 @@ from .landscape import (
 from .protocol import (
     BRANCHES,
     ModeMagnetization,
+    NoSaddleError,
     ProtocolResult,
     mode_magnetization,
     participation_ratio,
@@ -124,6 +125,7 @@ __all__ = [
     "estimate_jump",
     # protocol
     "BRANCHES",
+    "NoSaddleError",
     "ModeMagnetization",
     "ProtocolResult",
     "mode_magnetization",

@@ -32,7 +32,7 @@ from .floquet import (
     floquet_traces,
 )
 from .landscape import CensusError, analytic_doqs, find_critical_points
-from .protocol import run_protocol
+from .protocol import NoSaddleError, run_protocol
 from .spin import SpinSystem, build_operators
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
@@ -237,7 +237,11 @@ def _protocol_rows(cfg: RunConfig):
     branches = ("S->m", "S->M") if cfg.branch == "both" else (cfg.branch,)
     rows = []
     for br in branches:
-        for res in run_protocol(par, cfg.j, br, cfg.n_points, cfg.K):
+        try:
+            results = run_protocol(par, cfg.j, br, cfg.n_points, cfg.K)
+        except NoSaddleError as exc:  # kappa below kappa_c is a configuration error
+            raise ConfigError("kappa", str(exc)) from None
+        for res in results:
             rows.append(
                 (
                     res.branch,

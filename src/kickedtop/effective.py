@@ -99,6 +99,30 @@ def build_effective_hamiltonian(ops: OperatorSet, par: KickedTopParams) -> np.nd
     return h
 
 
+_BAND_ROWS = 64  # rows per block of _tridiagonal_band's off-band scan
+
+
+def _tridiagonal_band(h: np.ndarray):
+    """Diagonal, superdiagonal and subdiagonal of h, as views.
+
+    Raises ValueError when an element beyond the first off-diagonals exceeds
+    1e-10.  The scan takes _BAND_ROWS rows at a time, so its temporaries are
+    O(_BAND_ROWS dim) rather than matrix-sized.
+    """
+    dim = h.shape[0]
+    # row k of this view of the flat matrix runs h[k, k], h[k, k+1], ...,
+    # h[k, dim-1], h[k+1, 0], ..., h[k+1, k]: its inner columns are exactly
+    # the elements off the band
+    rows = np.ravel(h)[:-1].reshape(dim - 1, dim + 1)
+    band_defect = max(
+        (np.max(np.abs(rows[k:k + _BAND_ROWS, 2:-1]), initial=0.0) for k in range(0, dim - 1, _BAND_ROWS)),
+        default=0.0,
+    )
+    if band_defect > 1e-10:
+        raise ValueError(f"H_E not tridiagonal: max |H_ij| with |i - j| > 1 = {band_defect:.3e}")
+    return h.diagonal(), h.diagonal(1), h.diagonal(-1)
+
+
 def effective_spectrum(h: np.ndarray, par: KickedTopParams) -> EffectiveSpectrum:
     """Eigenvalues and modes of a Hermitian tridiagonal h.
 
@@ -108,23 +132,15 @@ def effective_spectrum(h: np.ndarray, par: KickedTopParams) -> EffectiveSpectrum
     element beyond the first off-diagonals or is not Hermitian, both to
     within 1e-10.
     """
-    dim = h.shape[0]
-    # row k of this view of the flat matrix runs h[k, k], h[k, k+1], ...,
-    # h[k, dim-1], h[k+1, 0], ..., h[k+1, k]: its inner columns are exactly
-    # the elements off the band
-    rows = np.ravel(h)[:-1].reshape(dim - 1, dim + 1)
-    band_defect = np.max(np.abs(rows[:, 2:-1]), initial=0.0)
-    if band_defect > 1e-10:
-        raise ValueError(f"H_E not tridiagonal: max |H_ij| with |i - j| > 1 = {band_defect:.3e}")
-    upper = h.diagonal(1)
-    herm_defect = max(np.max(np.abs(h.diagonal().imag)), np.max(np.abs(h.diagonal(-1) - upper.conj())))
+    diag, upper, lower = _tridiagonal_band(h)
+    herm_defect = max(np.max(np.abs(diag.imag)), np.max(np.abs(lower - upper.conj())))
     if herm_defect > 1e-10:
         raise ValueError(f"H_E not Hermitian: max |H - H^dag| = {herm_defect:.3e}")
     # a product of unit factors keeps each ratio d_{k+1}/d_k to rounding;
     # angle(0) = 0 gives a zero element the factor 1
     phases = np.cumprod(np.exp(-1j * np.angle(np.concatenate(([1.0], upper)))))
     phases /= np.abs(phases)
-    vals, vecs = eigh_tridiagonal(h.diagonal().real, np.abs(upper))
+    vals, vecs = eigh_tridiagonal(diag.real, np.abs(upper))
     return EffectiveSpectrum(
         unfolded=vals,
         folded=fold_quasienergy(vals, par.omega),

@@ -12,13 +12,21 @@ for integer j, |m=0> joins the even block.  The kick comes from the real
 tridiagonal J_x of each block, and diagonalize_floquet accepts only a
 parity-symmetric unitary: one whose cross-block elements are all within
 1e-9 of zero.
+
+Each unitary block b is diagonalized through the Hermitian matrix
+h = (b + b^dag)/2 + c (b - b^dag)/(2i), which commutes with b, so one
+Hermitian eigensolver gives common eigenvectors.  The eigenvalues of h are
+|1 + ic| cos(theta - phi_0) with phi_0 = atan c: two eigenphases mirrored
+about phi_0 share one eigenvalue of h, so their modes come out mixed, and a
+Rayleigh-Ritz polish separates them with a small complex Schur form per
+cluster of coupled columns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, schur
+from scipy.linalg import eigh, eigh_tridiagonal, schur
 
 from .spin import OperatorSet
 
@@ -78,6 +86,8 @@ class FloquetSpectrum:
 
 
 _HALF = np.sqrt(0.5)
+_C = 1.0 / np.sqrt(3.0)  # weight of (b - b^dag)/(2i) in the Hermitian form of a block
+_POLISH_TOL = 1e-13  # |Q^dag b Q| off the diagonal above this couples two columns
 
 
 def _fold(a: np.ndarray):
@@ -174,16 +184,60 @@ def build_floquet(ops: OperatorSet, par: KickedTopParams) -> np.ndarray:
     return f
 
 
+def _clusters(g: np.ndarray) -> np.ndarray:
+    """Connected-component label of each column of g, where a and b are
+    joined when |g_ab| or |g_ba| exceeds _POLISH_TOL.
+
+    Each label is the smallest column index in its component: every pass
+    takes the least label among the neighbours, then follows the labels
+    once (pointer jumping), until nothing changes.
+    """
+    rows, cols = np.nonzero(np.abs(g) > _POLISH_TOL)
+    label = np.arange(len(g))
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        np.minimum.at(low, cols, label[rows])
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+def _block_eig(b: np.ndarray):
+    """Eigenvalues and unitary eigenvectors of one unitary block b.
+
+    eigh of h = b (1/2 - ic/2) + b^dag (1/2 + ic/2) gives Q; the Ritz matrix
+    G = Q^dag b Q is diagonal up to the columns that h could not separate.
+    Each connected cluster of those columns gets one small complex Schur
+    form, which for the nearly unitary G restricted to it is diagonal.
+    """
+    h = b * (0.5 - 0.5j * _C)
+    h += (0.5 + 0.5j * _C) * b.conj().T
+    _, q = eigh(h, overwrite_a=True, check_finite=False)
+    g = q.conj().T @ (b @ q)
+    lam = g.diagonal().copy()
+    label = _clusters(g)
+    roots, counts = np.unique(label, return_counts=True)
+    for root in roots[counts > 1]:
+        idx = np.flatnonzero(label == root)
+        t, z = schur(g[np.ix_(idx, idx)], output="complex")
+        lam[idx] = t.diagonal()
+        q[:, idx] = q[:, idx] @ z
+    return lam, q
+
+
 def diagonalize_floquet(F: np.ndarray, T: float = 1.0) -> FloquetSpectrum:
     """Quasienergies eps = -arg(lambda)/T sorted ascending, with modes.
 
     F must commute with the exchange |m> <-> |-m> to within 1e-9 in its
     cross-block elements and be unitary to within 1e-9 in each parity block;
-    otherwise ValueError.  Each block is brought to complex Schur form, which
-    for a unitary matrix is diagonal, with orthonormal columns that give a
-    clean basis even through degeneracies.  arg in (-pi, pi] makes -arg/T
-    land in [-omega/2, omega/2) directly, so the zone is half-open without a
-    separate boundary fix.  Every mode is even or odd under the exchange.
+    otherwise ValueError.  Each block is diagonalized by the Hermitian
+    eigensolver and the Rayleigh-Ritz polish of _block_eig, whose columns
+    are orthonormal to rounding, also through degeneracies.  arg in
+    (-pi, pi] makes -arg/T land in [-omega/2, omega/2) directly, so the zone
+    is half-open without a separate boundary fix.  Every mode is even or odd
+    under the exchange.
     """
     dim = F.shape[0]
     even, odd, defect = _fold(F)
@@ -194,8 +248,8 @@ def diagonalize_floquet(F: np.ndarray, T: float = 1.0) -> FloquetSpectrum:
         unitarity = np.max(np.abs(b.conj().T @ b - np.eye(len(b))))
         if unitarity > 1e-9:
             raise ValueError(f"input is not unitary: max |F^dag F - I| = {unitarity:.3e} in a parity block")
-        t, q = schur(b, output="complex")
-        blocks.append((-np.angle(np.diag(t)) / T, q))
+        lam, q = _block_eig(b)
+        blocks.append((-np.angle(lam) / T, q))
     eps = np.concatenate([e for e, _ in blocks])
     order = np.argsort(eps, kind="stable")
     column = np.empty(dim, dtype=int)

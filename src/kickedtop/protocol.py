@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .effective import build_effective_hamiltonian
+from .effective import _tridiagonal_band, build_effective_hamiltonian
 from .floquet import FloquetSpectrum, KickedTopParams, build_floquet, diagonalize_floquet
 from .landscape import find_critical_points, qel_grad_hess, qel_value
 from .spin import (
@@ -27,6 +27,7 @@ from .spin import (
 )
 
 __all__ = [
+    "NoSaddleError",
     "ModeMagnetization",
     "ProtocolResult",
     "mode_magnetization",
@@ -36,6 +37,11 @@ __all__ = [
 ]
 
 BRANCHES = ("S->m", "S->M")
+
+
+class NoSaddleError(ValueError):
+    """The landscape has no saddle at (1, 0, 0) to start the paths from:
+    kappa is below the bifurcation kappa_c."""
 
 
 @dataclass(frozen=True)
@@ -57,17 +63,35 @@ class ProtocolResult:
     participation_ratio: float
 
 
-def _expectations(modes: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Re <Phi|A|Phi> per column, with one A @ modes product as the only
-    matrix-sized temporary (the real and imaginary parts are views)."""
-    am = a @ modes
-    return np.einsum("ia,ia->a", modes.real, am.real) + np.einsum("ia,ia->a", modes.imag, am.imag)
+_MODE_COLUMNS = 64  # modes per block of _expectations
+
+
+def _expectations(modes: np.ndarray, diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Re <Phi|A|Phi> per column for the tridiagonal A with these diagonals.
+
+    A Phi is formed from the three bands for _MODE_COLUMNS columns at a
+    time, so no temporary is matrix-sized; the real and imaginary parts are
+    views.
+    """
+    out = np.empty(modes.shape[1])
+    for k in range(0, modes.shape[1], _MODE_COLUMNS):
+        m = modes[:, k:k + _MODE_COLUMNS]
+        am = diag[:, None] * m
+        am[:-1] += upper[:, None] * m[1:]
+        am[1:] += lower[:, None] * m[:-1]
+        out[k:k + _MODE_COLUMNS] = np.einsum("ia,ia->a", m.real, am.real) + np.einsum("ia,ia->a", m.imag, am.imag)
+    return out
 
 
 def mode_magnetization(spec: FloquetSpectrum, ops: OperatorSet, h_eff: np.ndarray) -> ModeMagnetization:
-    """<Phi|H_E|Phi> and <Phi|J_x/j|Phi> for every Floquet mode."""
-    energies = _expectations(spec.modes, h_eff)
-    mags = _expectations(spec.modes, ops.jx) / ops.j
+    """<Phi|H_E|Phi> and <Phi|J_x/j|Phi> for every Floquet mode.
+
+    Both operators are tridiagonal; ValueError when h_eff has an element
+    off the band (above 1e-10).
+    """
+    energies = _expectations(spec.modes, *_tridiagonal_band(h_eff))
+    jx = ops.jx
+    mags = _expectations(spec.modes, jx.diagonal(), jx.diagonal(1), jx.diagonal(-1)) / ops.j
     order = np.argsort(energies)
     return ModeMagnetization(energies=energies[order], magnetizations=mags[order])
 
@@ -162,7 +186,7 @@ def run_protocol(par: KickedTopParams, j: float, branch: str, n_points: int, ste
         )
     cps = find_critical_points(par, j)
     if cps.regime != "above":
-        raise ValueError("protocol needs the saddle at (1, 0, 0): kappa above the bifurcation kappa_c")
+        raise NoSaddleError("protocol needs the saddle at (1, 0, 0): kappa above the bifurcation kappa_c")
     sys = SpinSystem(j)
     ops = build_operators(sys)
     spec = diagonalize_floquet(build_floquet(ops, par), par.T)

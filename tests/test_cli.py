@@ -150,6 +150,14 @@ def test_protocol_rows(tmp_path):
     assert all(r[0] == "S->m" for r in rows)
 
 
+def test_protocol_below_bifurcation_exits_two(tmp_path, capsys):
+    # kappa = 0.05 < kappa_c ~ 0.1: the landscape has no saddle to start from
+    out = tmp_path / "p.csv"
+    assert cli.run(["protocol", "--kappa", "0.05", "--j", "5", "--out", str(out)]) == 2
+    assert "config error [kappa]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_critical_output(tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert cli.run(["critical", "--j", "10", "--out", str(out)]) == 0

@@ -141,6 +141,44 @@ def test_block_spectrum_matches_dense_schur(j, p, kappa):
     assert parity_defect.max() < 1e-10
 
 
+def test_polish_separates_mirrored_phases():
+    # eigenphases in pairs mirrored about phi_0 = atan c inside each parity
+    # block: each pair shares one eigenvalue of the Hermitian form, whose
+    # eigensolver then returns mixtures that only the polish separates
+    g = rng(11)
+    dim = 13  # integer j = 6: |m=0> joins the even block
+    half = dim // 2
+    pairs = np.zeros((dim, dim))
+    for k in range(half):
+        pairs[[k, dim - 1 - k], k] = np.sqrt(0.5)
+        pairs[[k, dim - 1 - k], half + 1 + k] = np.sqrt(0.5) * np.array([1.0, -1.0])
+    pairs[half, half] = 1.0
+    q = np.zeros((dim, dim), dtype=complex)
+    for cols in (slice(0, half + 1), slice(half + 1, dim)):
+        n = cols.stop - cols.start
+        q[cols, cols], _ = np.linalg.qr(g.normal(size=(n, n)) + 1j * g.normal(size=(n, n)))
+    q = pairs @ q
+    phi0 = np.arctan(kt.floquet._C)
+    offsets = np.array([0.3, 1.1, 2.5, 1e-4, 0.7, 2.0])
+    theta = np.concatenate([phi0 + offsets[:3], phi0 - offsets[:3], [phi0 + np.pi],  # even block
+                            phi0 + offsets[3:], phi0 - offsets[3:]])  # odd block
+    f = (q * np.exp(1j * theta)) @ q.conj().T
+    spec = kt.diagonalize_floquet(f)
+    assert _circle_mismatch(spec.quasienergies, spectrum_oracles.floquet_quasienergies(f)) < 1e-10
+    modes = spec.modes
+    assert np.max(np.abs(f @ modes - modes * np.exp(-1j * spec.quasienergies))) < 1e-10
+
+
+def test_block_spectrum_at_j500():
+    ops = _ops(500.0)
+    F = kt.build_floquet(ops, kt.KickedTopParams(p=0.1, kappa=0.2))
+    spec = kt.diagonalize_floquet(F)
+    q = spec.modes
+    assert np.max(np.abs(F @ q - q * np.exp(-1j * spec.quasienergies))) < 1e-10
+    assert np.max(np.abs(q.conj().T @ q - np.eye(ops.dim))) < 1e-10
+    assert abs(np.exp(-1j * spec.quasienergies).sum() - np.trace(F)) < 1e-10
+
+
 def test_traces_against_matrix_powers():
     ops = _ops(5.0)
     par = kt.KickedTopParams(p=0.1, kappa=0.2)

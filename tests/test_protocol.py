@@ -28,6 +28,40 @@ def test_mode_magnetization_edges(modemag40):
     assert np.all(np.abs(modemag40.magnetizations) <= 1.0 + 1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    j=st.integers(1, 150).map(lambda n: n / 2),
+    p=st.floats(0.0, 0.3),
+    kappa=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(j=64.0, p=0.1, kappa=0.2, seed=0)  # 129 columns: two whole chunks of 64 and one column
+@example(j=3.0, p=0.0, kappa=0.0, seed=1)  # H_E = 0: every energy ties
+@example(j=0.5, p=0.0, kappa=0.375, seed=41)  # H_E a multiple of 1: every energy ties
+def test_mode_magnetization_matches_dense_products(j, p, kappa, seed):
+    # random complex columns stand in for the modes
+    ops = kt.build_operators(kt.SpinSystem(j))
+    h = kt.build_effective_hamiltonian(ops, kt.KickedTopParams(p=p, kappa=kappa))
+    g = rng(seed)
+    q = g.normal(size=(ops.dim, ops.dim)) + 1j * g.normal(size=(ops.dim, ops.dim))
+    q /= np.linalg.norm(q, axis=0)
+    mm = kt.mode_magnetization(kt.FloquetSpectrum(np.zeros(ops.dim), q), ops, h)
+    energies = np.einsum("ia,ia->a", q.conj(), h @ q).real
+    mags = np.einsum("ia,ia->a", q.conj(), ops.jx @ q).real / j
+    assert np.max(np.abs(mm.energies - np.sort(energies))) < 1e-10
+    # each (energy, magnetization) pair is a dense one; tied energies may
+    # come in either order
+    gap = np.maximum(np.abs(mm.energies[:, None] - energies), np.abs(mm.magnetizations[:, None] - mags))
+    assert np.max(gap.min(axis=1)) < 1e-10
+
+
+def test_mode_magnetization_rejects_nontridiagonal(spec40, ops40, heff40):
+    h = heff40.copy()
+    h[0, 2] = h[2, 0] = 1e-6
+    with pytest.raises(ValueError, match="not tridiagonal"):
+        kt.mode_magnetization(spec40, ops40, h)
+
+
 def test_stroboscopic_norms(spec40, ops40, par40):
     # the stepping oracle keeps unit norm; the library rejects an
     # unnormalized state or batch column and a negative step count
